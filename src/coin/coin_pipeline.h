@@ -1,5 +1,5 @@
 // Pipelined Coin-Gen scheduler: a depth-D window of in-flight Coin-Gen
-// batches over the cluster's round streams (net/cluster.h).
+// batches over the cluster's round streams (net/lockstep.h).
 //
 // Coin-Gen's ~10 rounds (Lemma 8 at t=1) are latency-bound: each round is
 // one network traversal, and the protocol's per-round compute is tiny.

@@ -13,7 +13,7 @@
 // asserts the differential.
 //
 // Dispatch: `clmul_hw` latches once per process — CPU support (PCLMUL +
-// SSE4.1) and not DPRBG_FORCE_SCALAR (env var or CMake option). gf2.h
+// SSE4.1) and not the DPRBG_FORCE_SCALAR environment variable. gf2.h
 // consults it on the m > 16 multiply path. The inline variable
 // zero-initializes to false, so any multiplication that races static
 // initialization simply takes the (correct) software path.

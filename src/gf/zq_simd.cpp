@@ -335,12 +335,8 @@ bool pclmul_supported() {
 
 bool force_scalar() {
   static const bool forced = [] {
-#ifdef DPRBG_FORCE_SCALAR
-    return true;
-#else
     const char* e = std::getenv("DPRBG_FORCE_SCALAR");
     return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
-#endif
   }();
   return forced;
 }

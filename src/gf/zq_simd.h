@@ -15,8 +15,7 @@
 //
 // Dispatch: `active_kernels()` picks AVX2 when the CPU reports it, unless
 // forced scalar by the DPRBG_FORCE_SCALAR environment variable (any value
-// but "0") or the DPRBG_FORCE_SCALAR compile definition (the CMake option
-// of the same name). `select_kernels(allow_simd)` is the pure chooser for
+// but "0"). `select_kernels(allow_simd)` is the pure chooser for
 // tests that must exercise both paths in one process.
 //
 // Telemetry: the Zq-taking wrappers below publish field_kernel_* counters
@@ -67,7 +66,7 @@ const ZqKernels& avx2_kernels();
 [[nodiscard]] bool avx2_supported();
 // True iff the hardware PCLMUL path for GF(2^m) is usable (see gf2.h).
 [[nodiscard]] bool pclmul_supported();
-// DPRBG_FORCE_SCALAR (env var != "0", or the CMake compile definition).
+// The DPRBG_FORCE_SCALAR environment variable is set to anything but "0".
 [[nodiscard]] bool force_scalar();
 // Pure chooser: AVX2 table iff allow_simd and the CPU supports it.
 const ZqKernels& select_kernels(bool allow_simd);

@@ -14,7 +14,7 @@
 // Mapping: committee members are the sorted global player ids; local id
 // = rank. Local stream s rides on global stream `first_stream + s`, so
 // a committee's lockstep barriers involve exactly its members (the
-// cluster's stream domains, net/cluster.h). Since global ids are
+// cluster's stream domains, net/lockstep.h). Since global ids are
 // ascending in local order, the cluster's (from, tag) inbox order is
 // preserved by the remap — no re-sort, and the identity committee
 // (committee #0, all players, first_stream 0) is bit-for-bit the raw

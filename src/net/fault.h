@@ -18,9 +18,10 @@
 // per-(round, from->to) actions); `random_fault_plan(params, seed)` is a
 // pure function of its arguments; corruption masks are derived from
 // (corruption seed, round, from, to) only. Faults are applied inside
-// Cluster::do_exchange by the single thread that won the barrier, so a
-// fixed (cluster seed, plan seed) replays an identical execution —
-// failing chaos seeds reproduce exactly.
+// the lockstep core's exchange (net/lockstep.h), which runs under the
+// core's lock in a fixed sender-major order, so a fixed (cluster seed,
+// plan seed) replays an identical execution — failing chaos seeds
+// reproduce exactly.
 //
 // Round indexing: `round` counts the exchanges of the round stream the
 // message was staged on, starting at 0 — i.e. the exchange that delivers
@@ -28,7 +29,7 @@
 // is the cluster's total exchange count (the original contract); a
 // pipelined run applies the plan to round r of *every* stream
 // independently, which keeps fault placement deterministic no matter how
-// the streams interleave in wall-clock (see net/cluster.h).
+// the streams interleave in wall-clock (see net/lockstep.h).
 
 #pragma once
 

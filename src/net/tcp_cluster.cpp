@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <string>
 #include <utility>
 
@@ -14,17 +15,12 @@
 
 namespace dprbg {
 
-// The TCP transport is one player per process; the concept check is the
-// whole point of the exercise — every protocol template accepts this Io.
-static_assert(NetEndpoint<TcpPartyIo>);
-
 namespace {
 
-// Stream ids over TCP are bounded like the simulated cluster's
-// (DPRBG_CHECK(batch <= 0xFFFF) at instance creation, for v0 wire
-// parity); a frame claiming a stream beyond the bound is a violation,
-// which also caps how many StreamStates a hostile peer can make us
-// allocate.
+// Stream ids are bounded by the core's handle check (batch <= 0xFFFF,
+// for v0 wire parity); a frame claiming a stream beyond the bound is a
+// violation, which also caps how many StreamStates a hostile peer can
+// make us allocate.
 constexpr std::uint32_t kTcpMaxStreamId = 0xFFFF;
 
 int poll_one(int fd, short events, int timeout_ms) {
@@ -67,87 +63,23 @@ std::uint64_t roster_hash(int n, int t,
 }
 
 // ---------------------------------------------------------------------------
-// TcpPartyIo — mirrors net::PartyIo's send-side behavior exactly (the
-// comm charges and trace points are what the equivalence suite compares).
-
-int TcpPartyIo::id() const { return cluster_.id_; }
-int TcpPartyIo::n() const { return cluster_.n_; }
-int TcpPartyIo::t() const { return cluster_.t_; }
-
-TcpPartyIo& TcpPartyIo::instance(std::uint32_t batch) {
-  if (batch == 0 || batch == stream_) return *this;
-  return cluster_.instance_io(batch);
-}
-
-void TcpPartyIo::send(int to, std::uint32_t tag,
-                      std::vector<std::uint8_t> body) {
-  if (to < 0 || to >= cluster_.n_) return;
-  if (to != id()) {
-    const std::uint64_t overhead = lockstep_envelope_overhead(
-        id(), tag, stream_, body.size(), wire_version());
-    ++sent_.messages;
-    sent_.bytes += body.size() + overhead;
-    if (tracer().enabled()) {
-      TraceEvent ev;
-      ev.kind = TraceEventKind::kPoint;
-      ev.protocol = "net";
-      ev.phase = "send";
-      ev.player = id();
-      ev.batch = stream_;
-      ev.committee = 0;
-      ev.round_begin = ev.round_end = sent_.rounds;
-      ev.comm.messages = 1;
-      ev.comm.bytes = body.size() + overhead;
-      ev.detail = "to=" + std::to_string(to) + " tag=" + std::to_string(tag);
-      tracer().record(std::move(ev));
-    }
-  }
-  Msg msg;
-  msg.from = id();
-  msg.tag = tag;
-  msg.batch = stream_;
-  msg.body = std::move(body);
-  staged_.push_back(Envelope{to, std::move(msg)});
-}
-
-void TcpPartyIo::send_all(std::uint32_t tag,
-                          const std::vector<std::uint8_t>& body) {
-  for (int to = 0; to < cluster_.n_; ++to) {
-    send(to, tag, body);
-  }
-}
-
-const Inbox& TcpPartyIo::sync() {
-  cluster_.sync_stream(*this);
-  ++sent_.rounds;
-  return inbox_;
-}
-
-void TcpPartyIo::note_decode_failure(int from) {
-  cluster_.note_decode_failure(stream_, from);
-}
-
-// ---------------------------------------------------------------------------
 // TcpCluster.
 
 TcpCluster::TcpCluster(int id, int n, int t, std::uint64_t seed,
                        std::vector<TcpNodeAddr> roster,
                        TcpClusterOptions opts)
-    : id_(id),
-      n_(n),
-      t_(t),
-      seed_(seed),
+    : LockstepCore(n, t, seed),
+      id_(id),
       roster_(std::move(roster)),
       opts_(opts),
       roster_hash_(roster_hash(n, t, roster_)) {
-  DPRBG_CHECK(n_ >= 1 && t_ >= 0 && t_ < n_);
-  DPRBG_CHECK(id_ >= 0 && id_ < n_);
-  DPRBG_CHECK(static_cast<int>(roster_.size()) == n_);
-  peers_.resize(static_cast<std::size_t>(n_));
-  lapsed_.assign(static_cast<std::size_t>(n_), 0);
-  bye_.assign(static_cast<std::size_t>(n_), 0);
-  peer_telemetry_.resize(static_cast<std::size_t>(n_));
-  root_.reset(new TcpPartyIo(*this, id_, seed_, 0));
+  DPRBG_CHECK(id_ >= 0 && id_ < n);
+  DPRBG_CHECK(static_cast<int>(roster_.size()) == n);
+  peers_.resize(static_cast<std::size_t>(n));
+  lapsed_.assign(static_cast<std::size_t>(n), 0);
+  bye_.assign(static_cast<std::size_t>(n), 0);
+  peer_telemetry_.resize(static_cast<std::size_t>(n));
+  handle(id_, 0);
 }
 
 TcpCluster::~TcpCluster() {
@@ -158,14 +90,6 @@ TcpCluster::~TcpCluster() {
     if (p != nullptr) p->stop();
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-void TcpCluster::set_misbehavior_manager(
-    std::shared_ptr<MisbehaviorManager> mgr) {
-  std::lock_guard lk(mu_);
-  DPRBG_CHECK(!run_active_);
-  if (mgr != nullptr) DPRBG_CHECK(mgr->n() == n_);
-  misbehavior_ = std::move(mgr);
 }
 
 bool TcpCluster::start() {
@@ -192,7 +116,7 @@ bool TcpCluster::start() {
   popts.local_hello.wire_version = static_cast<std::uint8_t>(wire_version());
   popts.local_hello.roster_hash = roster_hash_;
   popts.local_hello.node_id = static_cast<std::uint32_t>(id_);
-  popts.local_hello.n = static_cast<std::uint32_t>(n_);
+  popts.local_hello.n = static_cast<std::uint32_t>(n());
 
   PeerCallbacks cb;
   cb.on_frame = [this](int peer, FrameType type,
@@ -202,7 +126,7 @@ bool TcpCluster::start() {
   cb.on_up = [this](int peer, bool reconnect) { on_peer_up(peer, reconnect); };
   cb.on_down = [this](int peer) { on_peer_down(peer); };
 
-  for (int j = 0; j < n_; ++j) {
+  for (int j = 0; j < n(); ++j) {
     if (j == id_) continue;
     const auto role =
         j < id_ ? TcpPeer::Role::kDialer : TcpPeer::Role::kListener;
@@ -259,8 +183,8 @@ bool TcpCluster::accept_handshake(int fd) {
       why = HandshakeReject::kWireVersion;
     } else if (h->roster_hash != roster_hash_) {
       why = HandshakeReject::kRosterHash;
-    } else if (h->n != static_cast<std::uint32_t>(n_) ||
-               h->node_id >= static_cast<std::uint32_t>(n_) ||
+    } else if (h->n != static_cast<std::uint32_t>(n()) ||
+               h->node_id >= static_cast<std::uint32_t>(n()) ||
                static_cast<int>(h->node_id) <= id_) {
       // Higher ids dial lower ids: an inbound claim of a lower-or-equal
       // id is either an impostor or a miswired roster.
@@ -279,7 +203,7 @@ bool TcpCluster::accept_handshake(int fd) {
   ack.wire_version = static_cast<std::uint8_t>(wire_version());
   ack.roster_hash = roster_hash_;
   ack.node_id = static_cast<std::uint32_t>(id_);
-  ack.n = static_cast<std::uint32_t>(n_);
+  ack.n = static_cast<std::uint32_t>(n());
   if (!tcp_write_all(fd, frame_bytes(FrameType::kHelloAck,
                                      encode_hello(ack)))) {
     return false;
@@ -309,7 +233,7 @@ void TcpCluster::on_peer_up(int peer, bool reconnect) {
 void TcpCluster::on_peer_down(int peer) {
   {
     std::lock_guard lk(mu_);
-    if (run_active_) {
+    if (running_) {
       // Latched for the rest of the run: the process behind this link is
       // mid-restart, and lockstep state cannot absorb a rejoin. Barriers
       // stop waiting for it — the transport twin of Cluster::drop().
@@ -323,10 +247,19 @@ TcpCluster::StreamState& TcpCluster::stream_state_locked(
     std::uint32_t stream) {
   StreamState& st = streams_[stream];
   if (st.next_round.empty()) {
-    st.next_round.assign(static_cast<std::size_t>(n_), 0);
-    st.pending.resize(static_cast<std::size_t>(n_));
+    st.next_round.assign(static_cast<std::size_t>(n()), 0);
+    st.pending.resize(static_cast<std::size_t>(n()));
   }
   return st;
+}
+
+void TcpCluster::reject_frame(int peer) {
+  {
+    std::lock_guard lk(mu_);
+    ++frame_decode_failures_;
+  }
+  if (misbehavior() != nullptr) misbehavior()->report_decode(peer, id_);
+  peers_[static_cast<std::size_t>(peer)]->sever();
 }
 
 void TcpCluster::on_frame(int peer, FrameType type,
@@ -339,32 +272,16 @@ void TcpCluster::on_frame(int peer, FrameType type,
     cv_.notify_all();
     return;
   }
-  if (type != FrameType::kRound) {
-    // Hello/HelloAck after the handshake (or an unknown type) is a
-    // framing violation: score it and cut the connection.
-    {
-      std::lock_guard lk(mu_);
-      ++frame_decode_failures_;
-    }
-    if (misbehavior_ != nullptr) misbehavior_->report_decode(peer, id_);
-    peers_[static_cast<std::size_t>(peer)]->sever();
-    return;
-  }
+  // Hello/HelloAck after the handshake (or an unknown type) is a framing
+  // violation. So is a round frame we cannot attribute to a (stream,
+  // round): it cannot be turned into a barrier marker, so the only safe
+  // response is to cut the connection — the peer lapses and barriers
+  // proceed without it (leaving it connected would park every barrier
+  // forever).
+  if (type != FrameType::kRound) return reject_frame(peer);
   auto frame = decode_round_frame(payload, wire_version(), peer,
                                   kTcpMaxFrameBytes);
-  if (!frame || frame->stream > kTcpMaxStreamId) {
-    // A round frame we cannot attribute to a (stream, round) cannot be
-    // turned into a barrier marker, so the only safe response is to cut
-    // the connection — the peer lapses and barriers proceed without it
-    // (leaving it connected would park every barrier forever).
-    {
-      std::lock_guard lk(mu_);
-      ++frame_decode_failures_;
-    }
-    if (misbehavior_ != nullptr) misbehavior_->report_decode(peer, id_);
-    peers_[static_cast<std::size_t>(peer)]->sever();
-    return;
-  }
+  if (!frame || frame->stream > kTcpMaxStreamId) return reject_frame(peer);
   bool notify = false;
   {
     std::lock_guard lk(mu_);
@@ -382,8 +299,8 @@ void TcpCluster::on_frame(int peer, FrameType type,
         // anything else is a replay/skip attack. Dropping (instead of
         // buffering) also bounds demux memory.
         ++lapsed_frames_;
-        if (misbehavior_ != nullptr) {
-          misbehavior_->report(peer, MisbehaviorSignal::kStaleFlood);
+        if (misbehavior() != nullptr) {
+          misbehavior()->report(peer, MisbehaviorSignal::kStaleFlood);
         }
       } else {
         ++next;
@@ -407,35 +324,24 @@ void TcpCluster::on_frame(int peer, FrameType type,
   if (notify) cv_.notify_all();
 }
 
-void TcpCluster::sync_stream(TcpPartyIo& io) {
-  const std::uint32_t stream = io.stream_;
-  const std::uint64_t round = io.sent_.rounds;
+void TcpCluster::link_sync(PartyIo& io) {
+  const std::uint32_t stream = io.stream();
+  const std::uint64_t round = io.rounds();
   const WireVersion wv = wire_version();
+  const int n = this->n();
 
   // Partition this round's staged envelopes by destination, preserving
-  // send order; self-deliveries stay local (never touch a socket, never
-  // charged — same as the simulated ledger).
-  std::vector<std::vector<Msg>> outgoing(static_cast<std::size_t>(n_));
-  std::vector<Msg> self;
-  std::uint64_t msg_count = 0;
-  std::uint64_t byte_count = 0;
+  // send order; self-deliveries stay local (never touch a socket).
+  std::vector<std::vector<Msg>> outgoing(static_cast<std::size_t>(n));
   for (auto& env : io.staged_) {
-    if (env.to == id_) {
-      self.push_back(std::move(env.msg));
-    } else {
-      ++msg_count;
-      byte_count +=
-          env.msg.body.size() + lockstep_envelope_overhead(env.msg, wv);
-      outgoing[static_cast<std::size_t>(env.to)].push_back(
-          std::move(env.msg));
-    }
+    outgoing[static_cast<std::size_t>(env.to)].push_back(std::move(env.msg));
   }
   io.staged_.clear();
   // Ship one bundle per peer — empty ones included; they are the round
   // barrier markers. A bundle for a down peer is dropped by the peer's
   // queue (and the peer is or becomes lapsed, so the barrier will not
   // wait for its half either).
-  for (int j = 0; j < n_; ++j) {
+  for (int j = 0; j < n; ++j) {
     if (j == id_) continue;
     const auto payload = encode_round_frame(
         stream, round, outgoing[static_cast<std::size_t>(j)], wv);
@@ -443,16 +349,11 @@ void TcpCluster::sync_stream(TcpPartyIo& io) {
         frame_bytes(FrameType::kRound, payload));
   }
 
-  MisbehaviorManager* mgr = misbehavior_.get();
-  const bool trace_on = tracer().enabled();
   std::unique_lock lk(mu_);
-  comm_.messages += msg_count;
-  comm_.bytes += byte_count;
   StreamState& st = stream_state_locked(stream);
-
   const auto ready = [&] {
     if (stop_.load(std::memory_order_acquire)) return true;
-    for (int j = 0; j < n_; ++j) {
+    for (int j = 0; j < n; ++j) {
       if (j == id_) continue;
       if (st.next_round[static_cast<std::size_t>(j)] > round) continue;
       if (lapsed_[static_cast<std::size_t>(j)] != 0) continue;
@@ -475,109 +376,41 @@ void TcpCluster::sync_stream(TcpPartyIo& io) {
     }
   }
 
-  // Deliver: per-sender send order, senders ascending, through the
-  // shared admit gate, then the shared canonical sort — the exact
-  // pipeline the simulated exchange runs, minus physical transport.
-  std::vector<Msg> next;
-  const auto admit = [&](Msg&& msg) {
-    const AdmitVerdict verdict = classify_envelope(
-        msg, id_, stream, [&](int p) { return p >= 0 && p < n_; }, mgr);
-    if (const auto sig = signal_for(verdict); sig && mgr != nullptr) {
-      mgr->report(msg.from, *sig);
-    }
-    switch (verdict) {
-      case AdmitVerdict::kStale:
-        ++stale_rejections_;
-        if (trace_on) {
-          trace_point("net", "stale", id_, round,
-                      "from=" + std::to_string(msg.from) +
-                          " batch=" + std::to_string(msg.batch),
-                      stream, 0);
-        }
-        return;
-      case AdmitVerdict::kForeign:
-        ++foreign_rejections_;
-        if (trace_on) {
-          trace_point("net", "foreign", id_, round,
-                      "from=" + std::to_string(msg.from), stream, 0);
-        }
-        return;
-      case AdmitVerdict::kBanned:
-        ++banned_suppressions_;
-        mgr->note_suppressed(msg.from);
-        if (trace_on) {
-          trace_point("net", "banned", id_, round,
-                      "from=" + std::to_string(msg.from), stream, 0);
-        }
-        return;
-      case AdmitVerdict::kDeliver:
-        break;
-    }
-    next.push_back(std::move(msg));
-  };
-  for (int j = 0; j < n_; ++j) {
+  // Feed the core exactly as the in-process link does: senders
+  // ascending, each in its send order.
+  Exchange ex(*this, round_stream(stream));
+  ex.charge(io);
+  for (int j = 0; j < n; ++j) {
     if (j == id_) {
-      for (Msg& m : self) admit(std::move(m));
+      for (Msg& m : outgoing[static_cast<std::size_t>(j)]) {
+        ex.route(id_, std::move(m));
+      }
       continue;
     }
     auto& per_sender = st.pending[static_cast<std::size_t>(j)];
     const auto it = per_sender.find(round);
-    if (it != per_sender.end()) {
-      buffered_msgs_ -= it->second.size();
-      for (Msg& m : it->second) admit(std::move(m));
-      per_sender.erase(it);
-    }
+    if (it == per_sender.end()) continue;
+    buffered_msgs_ -= it->second.size();
+    for (Msg& m : it->second) ex.route(id_, std::move(m));
+    per_sender.erase(it);
   }
-  lockstep_sort_inbox(next);
-  io.inbox_ = Inbox{std::move(next)};
-  ++comm_.rounds;
+  ex.deliver();
   if (telemetry_enabled() && tel_recv_pending_ != nullptr) {
     tel_recv_pending_->set(static_cast<std::int64_t>(buffered_msgs_));
   }
 }
 
-void TcpCluster::note_decode_failure(std::uint32_t stream, int from) {
-  if (from < 0 || from >= n_ || from == id_) return;
-  {
-    std::lock_guard lk(mu_);
-    ++decode_rejections_;
-  }
-  if (tracer().enabled()) {
-    trace_point("net", "decode_reject", id_, 0,
-                "from=" + std::to_string(from), stream, 0);
-  }
-  if (misbehavior_ != nullptr) {
-    // Receiver-attributed, so the decode reporter quorum can discount a
-    // lone framer — same wiring as the simulated cluster.
-    misbehavior_->report_decode(from, id_);
-  }
-}
-
-TcpPartyIo& TcpCluster::instance_io(std::uint32_t batch) {
-  // Same v0-wire bound the simulated cluster enforces at its instance
-  // choke point (batch rides a uint16 in the v0 envelope header).
-  DPRBG_CHECK(batch <= kTcpMaxStreamId);
-  std::lock_guard lk(instances_mu_);
-  auto it = instances_.find(batch);
-  if (it == instances_.end()) {
-    it = instances_
-             .emplace(batch, std::unique_ptr<TcpPartyIo>(
-                                 new TcpPartyIo(*this, id_, seed_, batch)))
-             .first;
-  }
-  return *it->second;
-}
-
 void TcpCluster::run(const Program& program) {
   DPRBG_CHECK(started_);
+  PartyIo& root = this->root();
   {
     std::lock_guard lk(mu_);
-    DPRBG_CHECK(!run_active_);
-    run_active_ = true;
+    DPRBG_CHECK(!running_);
+    running_ = true;
   }
   std::exception_ptr err;
   try {
-    program(*root_);
+    program(root);
   } catch (...) {
     err = std::current_exception();
   }
@@ -592,17 +425,30 @@ void TcpCluster::run(const Program& program) {
     if (p != nullptr) p->flush(opts_.drain_timeout_ms);
   }
   {
-    std::lock_guard lk(mu_);
-    run_active_ = false;
+    // Our send queues being empty says nothing about the peers' ends of
+    // the run: wait until each peer has said Bye or lapsed (lapses are
+    // only latched while running_), so the run is over on every link.
+    std::unique_lock lk(mu_);
+    cv_.wait_for(lk, std::chrono::milliseconds(opts_.drain_timeout_ms), [&] {
+      for (int j = 0; j < n(); ++j) {
+        if (j != id_ && !bye_[static_cast<std::size_t>(j)] &&
+            !lapsed_[static_cast<std::size_t>(j)]) {
+          return stop_.load();
+        }
+      }
+      return true;
+    });
+    running_ = false;
   }
   if (err) std::rethrow_exception(err);
 }
 
 TcpStats TcpCluster::stats() const {
+  const DomainLedger led = totals();
   TcpStats out;
-  out.peers.resize(static_cast<std::size_t>(n_));
+  out.peers.resize(static_cast<std::size_t>(n()));
   std::lock_guard lk(mu_);
-  for (int j = 0; j < n_; ++j) {
+  for (int j = 0; j < n(); ++j) {
     const TcpPeer* p = peers_[static_cast<std::size_t>(j)].get();
     if (p == nullptr) continue;
     TcpStats::PeerStats& ps = out.peers[static_cast<std::size_t>(j)];
@@ -623,16 +469,16 @@ TcpStats TcpCluster::stats() const {
   }
   out.frame_decode_failures = frame_decode_failures_;
   out.lapsed_frames = lapsed_frames_;
-  out.stale_rejections = stale_rejections_;
-  out.foreign_rejections = foreign_rejections_;
-  out.decode_rejections = decode_rejections_;
-  out.banned_suppressions = banned_suppressions_;
+  out.stale_rejections = led.stale;
+  out.foreign_rejections = led.foreign;
+  out.decode_rejections = led.decode;
+  out.banned_suppressions = led.banned;
   out.recv_pending = buffered_msgs_;
   return out;
 }
 
 void TcpCluster::sever_peer(int peer) {
-  if (peer < 0 || peer >= n_ || peer == id_) return;
+  if (peer < 0 || peer >= n() || peer == id_) return;
   TcpPeer* p = peers_[static_cast<std::size_t>(peer)].get();
   if (p != nullptr) p->sever();
 }
@@ -641,7 +487,7 @@ void TcpCluster::publish_telemetry() {
   if (!telemetry_enabled()) return;
   std::lock_guard lk(mu_);
   MetricsRegistry& reg = metrics();
-  for (int j = 0; j < n_; ++j) {
+  for (int j = 0; j < n(); ++j) {
     const TcpPeer* p = peers_[static_cast<std::size_t>(j)].get();
     if (p == nullptr) continue;
     PeerTelemetry& pt = peer_telemetry_[static_cast<std::size_t>(j)];

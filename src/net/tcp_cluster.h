@@ -10,29 +10,17 @@
 // both ends), and the demux that turns arriving kRound frames back into
 // the per-(stream, round) inboxes the protocols expect.
 //
-// Determinism contract (the whole point): a protocol templated on
-// NetEndpoint produces BIT-FOR-BIT the same transcript over TcpPartyIo
-// as over the simulated PartyIo at the same (n, t, seed), because every
-// input the protocol can observe is reproduced exactly:
-//
-//   * randomness — Chacha(seed, lockstep_rng_stream(id, stream)), the
-//     shared derivation in net/lockstep.h;
-//   * inbox content — round r's sync() delivers precisely the messages
-//     peers sent during their round r of the same stream (the kRound
-//     frame for (stream, r) is the complete bundle, sent even when
-//     empty as the barrier marker);
-//   * inbox order — per-sender send order, senders concatenated
-//     ascending, then the shared lockstep_sort_inbox stable sort, which
-//     erases the nondeterministic cross-sender arrival order TCP gives
-//     us;
-//   * admit gating — the shared classify_envelope path: stale (wire
-//     batch != stream), foreign, and banned-suppression verdicts score
-//     and count exactly as in the simulated demux, with the same
-//     self-delivery ban exemption;
-//   * comm accounting — send() charges body + envelope_overhead under
-//     the active wire version, identical to the simulated ledger; the
-//     physical frame bytes (length prefix, bundle header) appear only
-//     in the transport's own TcpStats/telemetry.
+// Everything the lockstep contract consists of — handles, randomness,
+// admit, ledgers, comm charging and inbox order — is the shared core
+// (net/lockstep.h), so a protocol templated on NetEndpoint produces
+// BIT-FOR-BIT the same transcript here as over the simulated Cluster at
+// the same (n, t, seed). This link's one job is to make each node's
+// exchange see the same per-sender send sequences: round r's sync()
+// ships one kRound bundle per peer (sent even when empty — it is the
+// barrier marker), waits until every non-lapsed peer's bundle for
+// (stream, r) has arrived, and feeds the core senders ascending, each in
+// its send order. Physical frame bytes (length prefix, bundle header)
+// appear only in TcpStats and telemetry, never in comm().
 //
 // Failure semantics: a peer whose connection dies while a run is active
 // is "lapsed" — permanently, for that run. Barriers stop waiting for it
@@ -75,8 +63,6 @@
 
 namespace dprbg {
 
-class TcpCluster;
-
 struct TcpNodeAddr {
   std::string host;
   std::uint16_t port = 0;
@@ -97,7 +83,8 @@ struct TcpClusterOptions {
   unsigned backoff_max_ms = 1000;
   // start(): how long to wait for every peer link to come up.
   unsigned start_timeout_ms = 15000;
-  // shutdown: how long to linger so final round frames + Bye drain.
+  // End of run(): how long to linger so our final round frames + Bye
+  // drain, and then how long to wait for every peer's Bye.
   unsigned drain_timeout_ms = 2000;
   // Pre-bound listen socket (the in-process loopback harness binds all
   // n ephemeral ports before any roster hash is computed); -1 binds
@@ -105,57 +92,8 @@ struct TcpClusterOptions {
   int listen_fd = -1;
 };
 
-// The per-(player, stream) handle — the TCP twin of net::PartyIo,
-// satisfying the same NetEndpoint concept (static_assert'd in the
-// .cpp). One process owns only its own player's handles.
-class TcpPartyIo {
- public:
-  [[nodiscard]] int id() const;
-  [[nodiscard]] int n() const;
-  [[nodiscard]] int t() const;
-  [[nodiscard]] Chacha& rng() { return rng_; }
-  [[nodiscard]] std::uint32_t stream() const { return stream_; }
-  // Stream domains / committees are not carved over TCP yet: every
-  // stream barriers over the full roster (committee 0).
-  [[nodiscard]] std::uint32_t committee() const { return 0; }
-
-  TcpPartyIo& instance(std::uint32_t batch);
-
-  void send(int to, std::uint32_t tag, std::vector<std::uint8_t> body);
-  void send_all(std::uint32_t tag, const std::vector<std::uint8_t>& body);
-
-  // Ends this stream's round: ships one kRound bundle per peer (empty
-  // ones included — they are the markers), blocks until every
-  // non-lapsed peer's bundle for this round has arrived, and delivers
-  // the canonically ordered inbox.
-  const Inbox& sync();
-  [[nodiscard]] const Inbox& inbox() const { return inbox_; }
-
-  void note_decode_failure(int from);
-
-  [[nodiscard]] const CommCounters& sent() const { return sent_; }
-  [[nodiscard]] std::uint64_t rounds() const { return sent_.rounds; }
-
- private:
-  friend class TcpCluster;
-  TcpPartyIo(TcpCluster& cluster, int id, std::uint64_t seed,
-             std::uint32_t stream)
-      : cluster_(cluster),
-        stream_(stream),
-        rng_(seed, lockstep_rng_stream(id, stream)) {}
-
-  struct Envelope {
-    int to;
-    Msg msg;
-  };
-
-  TcpCluster& cluster_;
-  std::uint32_t stream_;
-  Chacha rng_;
-  Inbox inbox_;
-  std::vector<Envelope> staged_;
-  CommCounters sent_;
-};
+// One process owns only its own player's handles: the shared PartyIo.
+using TcpPartyIo = PartyIo;
 
 // Transport-level counters, snapshot under the demux lock — the test
 // surface (no telemetry needed) for connect/reconnect/reject/drop
@@ -179,6 +117,7 @@ struct TcpStats {
   std::uint64_t accept_rejects[kHandshakeRejectReasons] = {0, 0, 0, 0, 0};
   std::uint64_t frame_decode_failures = 0;  // kRound payloads that failed
   std::uint64_t lapsed_frames = 0;  // frames from lapsed/unknown peers
+  // Views of the core's ledger (summed over domains).
   std::uint64_t stale_rejections = 0;
   std::uint64_t foreign_rejections = 0;
   std::uint64_t decode_rejections = 0;  // receiver-reported (protocol layer)
@@ -187,7 +126,7 @@ struct TcpStats {
   std::uint64_t recv_pending = 0;
 };
 
-class TcpCluster {
+class TcpCluster : private LockstepCore {
  public:
   using Program = std::function<void(TcpPartyIo&)>;
 
@@ -201,16 +140,14 @@ class TcpCluster {
   TcpCluster& operator=(const TcpCluster&) = delete;
 
   [[nodiscard]] int id() const { return id_; }
-  [[nodiscard]] int n() const { return n_; }
-  [[nodiscard]] int t() const { return t_; }
+  using LockstepCore::n;
+  using LockstepCore::t;
   [[nodiscard]] std::uint16_t listen_port() const { return listen_port_; }
 
-  // Same contract as Cluster::set_misbehavior_manager: demux-side
-  // signals and ban suppression; must be set before start().
-  void set_misbehavior_manager(std::shared_ptr<MisbehaviorManager> mgr);
-  [[nodiscard]] MisbehaviorManager* misbehavior() const {
-    return misbehavior_.get();
-  }
+  // Same contract as Cluster::set_misbehavior_manager: admit-side
+  // signals and ban suppression; must be set before run().
+  using LockstepCore::misbehavior;
+  using LockstepCore::set_misbehavior_manager;
 
   // Binds (unless pre-bound), starts the accept loop and every peer,
   // and blocks until all n-1 links are up or start_timeout elapses.
@@ -220,7 +157,9 @@ class TcpCluster {
   [[nodiscard]] bool start();
 
   // Runs this player's program to completion on the calling thread,
-  // then announces kBye and drains the send queues. One run per
+  // then announces kBye, drains the send queues, and waits (at most
+  // drain_timeout_ms) until every peer has said Bye or lapsed, so
+  // stats() afterwards reflects every peer's end of run. One run per
   // cluster (a returned program told every peer it is done — rejoin is
   // an epoch concern, not a transport one). Exceptions propagate after
   // the Bye/drain so remote barriers are not deadlocked by our crash.
@@ -228,12 +167,13 @@ class TcpCluster {
 
   // The root-stream handle (valid after construction; protocols open
   // per-batch siblings through instance()).
-  [[nodiscard]] TcpPartyIo& root() { return *root_; }
+  [[nodiscard]] TcpPartyIo& root() { return handle(id_, 0); }
 
   [[nodiscard]] TcpStats stats() const;
-  // Aggregate communication (protocol-layer accounting, matching the
-  // simulated cluster's ledger bit-for-bit for equivalent runs).
-  [[nodiscard]] const CommCounters& comm() const { return comm_; }
+  // Aggregate communication this node sent (protocol-layer accounting,
+  // matching the simulated cluster's per-player ledger bit-for-bit for
+  // equivalent runs).
+  using LockstepCore::comm;
 
   // Publishes per-peer transport counters as labeled telemetry
   // (net_tcp_*{node=i,peer=j}); delta-based, safe to call repeatedly.
@@ -247,8 +187,6 @@ class TcpCluster {
   void sever_peer(int peer);
 
  private:
-  friend class TcpPartyIo;
-
   // Demux state for one round stream: what each sender has delivered
   // and what is buffered awaiting our own sync().
   struct StreamState {
@@ -269,56 +207,37 @@ class TcpCluster {
   void on_frame(int peer, FrameType type, std::vector<std::uint8_t> payload);
   void on_peer_up(int peer, bool reconnect);
   void on_peer_down(int peer);
+  // A framing violation by `peer`: count, score, and cut the connection.
+  void reject_frame(int peer);
   void accept_loop();
   // Listener half of the handshake; returns false (and counts the
   // reason) when the connection must be closed.
   bool accept_handshake(int fd);
 
-  // The barrier + delivery half of TcpPartyIo::sync (staging and frame
-  // building happen in the caller first).
-  void sync_stream(TcpPartyIo& io);
+  // Ships io's round bundles, waits for every live peer's bundle of the
+  // same (stream, round), and runs the core's exchange.
+  void link_sync(PartyIo& io) override;
   StreamState& stream_state_locked(std::uint32_t stream);
-  TcpPartyIo& instance_io(std::uint32_t batch);
-  void note_decode_failure(std::uint32_t stream, int from);
 
   const int id_;
-  const int n_;
-  const int t_;
-  const std::uint64_t seed_;
   const std::vector<TcpNodeAddr> roster_;
   const TcpClusterOptions opts_;
   const std::uint64_t roster_hash_;
 
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
-  std::thread accept_thread_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
 
-  // peers_[j] for j != id_; [id_] stays null.
-  std::vector<std::unique_ptr<TcpPeer>> peers_;
-
-  std::unique_ptr<TcpPartyIo> root_;
-  std::map<std::uint32_t, std::unique_ptr<TcpPartyIo>> instances_;
-  std::mutex instances_mu_;  // instance() may be called from workers
-
-  mutable std::mutex mu_;  // demux + barrier state
+  // Guarded by the core's mu_.
   std::condition_variable cv_;
   std::map<std::uint32_t, StreamState> streams_;
   std::vector<char> lapsed_;  // latched per run on disconnect
   std::vector<char> bye_;     // peer's program finished cleanly
-  bool run_active_ = false;
   std::uint64_t accept_rejects_[kHandshakeRejectReasons] = {0, 0, 0, 0, 0};
   std::uint64_t frame_decode_failures_ = 0;
   std::uint64_t lapsed_frames_ = 0;
-  std::uint64_t stale_rejections_ = 0;
-  std::uint64_t foreign_rejections_ = 0;
-  std::uint64_t decode_rejections_ = 0;
-  std::uint64_t banned_suppressions_ = 0;
   std::uint64_t buffered_msgs_ = 0;  // demuxed, not yet sync()-consumed
-
-  std::shared_ptr<MisbehaviorManager> misbehavior_;
-  CommCounters comm_;
 
   // Telemetry (lazily created; labels node=<id>[,peer=<j>]).
   Histogram* tel_barrier_wait_ = nullptr;
@@ -334,6 +253,11 @@ class TcpCluster {
     std::uint64_t published_rx = 0;
   };
   std::vector<PeerTelemetry> peer_telemetry_;
+
+  // peers_[j] for j != id_; [id_] stays null. Declared after everything
+  // their reader threads touch.
+  std::vector<std::unique_ptr<TcpPeer>> peers_;
+  std::thread accept_thread_;
 };
 
 // --------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -23,11 +24,13 @@
 #include <vector>
 
 #include "coin/coin_pipeline.h"
+#include "common/trace.h"
 #include "dprbg/coin_pool.h"
 #include "dprbg/trusted_dealer.h"
 #include "gf/gf2.h"
 #include "gradecast/gradecast.h"
 #include "net/cluster.h"
+#include "net/misbehavior.h"
 #include "net/peer.h"
 #include "vss/vss.h"
 
@@ -73,24 +76,7 @@ struct EchoRun {
   std::vector<CommCounters> sent;                    // [player]
 };
 
-// The echo program parameterized over the backend handle: every player
-// broadcasts a distinct byte per round and one extra unicast to player
-// (id+1) % n, so inboxes exercise both send paths and the canonical
-// sort. `rounds_for(id)` lets a player return early (the drop test).
-template <typename Io>
-void echo_program(Io& io, int rounds, EchoRun& run) {
-  for (int r = 0; r < rounds; ++r) {
-    io.send_all(kTag, {static_cast<std::uint8_t>(io.id() * 16 + r)});
-    io.send((io.id() + 1) % io.n(), kTag + 1,
-            {static_cast<std::uint8_t>(0xE0 + r)});
-    run.transcript[static_cast<std::size_t>(io.id())]
-                  [static_cast<std::size_t>(r)] = render_inbox(io.sync());
-  }
-  run.sent[static_cast<std::size_t>(io.id())] = io.sent();
-}
-
-EchoRun run_sim_echo(int n, int t, std::uint64_t seed,
-                     const std::vector<int>& rounds_per_player) {
+EchoRun empty_echo_run(int n, const std::vector<int>& rounds_per_player) {
   EchoRun run;
   const int max_rounds =
       *std::max_element(rounds_per_player.begin(), rounds_per_player.end());
@@ -98,6 +84,31 @@ EchoRun run_sim_echo(int n, int t, std::uint64_t seed,
                         std::vector<std::string>(
                             static_cast<std::size_t>(max_rounds)));
   run.sent.assign(static_cast<std::size_t>(n), {});
+  return run;
+}
+
+// The echo program parameterized over the backend handle: every player
+// broadcasts a distinct byte per round and one extra unicast to player
+// (id+1) % n, so inboxes exercise both send paths and the canonical
+// sort. `rounds` may differ per player (the drop test). With `framed`
+// >= 0, every other player reports a decode failure against it after
+// each round.
+template <typename Io>
+void echo_program(Io& io, int rounds, EchoRun& run, int framed = -1) {
+  for (int r = 0; r < rounds; ++r) {
+    io.send_all(kTag, {static_cast<std::uint8_t>(io.id() * 16 + r)});
+    io.send((io.id() + 1) % io.n(), kTag + 1,
+            {static_cast<std::uint8_t>(0xE0 + r)});
+    run.transcript[static_cast<std::size_t>(io.id())]
+                  [static_cast<std::size_t>(r)] = render_inbox(io.sync());
+    if (framed >= 0 && io.id() != framed) io.note_decode_failure(framed);
+  }
+  run.sent[static_cast<std::size_t>(io.id())] = io.sent();
+}
+
+EchoRun run_sim_echo(int n, int t, std::uint64_t seed,
+                     const std::vector<int>& rounds_per_player) {
+  EchoRun run = empty_echo_run(n, rounds_per_player);
   Cluster cluster(n, t, seed);
   std::vector<Cluster::Program> programs;
   for (int i = 0; i < n; ++i) {
@@ -112,13 +123,7 @@ EchoRun run_sim_echo(int n, int t, std::uint64_t seed,
 
 EchoRun run_tcp_echo(TcpLoopback& loop, int n,
                      const std::vector<int>& rounds_per_player) {
-  EchoRun run;
-  const int max_rounds =
-      *std::max_element(rounds_per_player.begin(), rounds_per_player.end());
-  run.transcript.assign(static_cast<std::size_t>(n),
-                        std::vector<std::string>(
-                            static_cast<std::size_t>(max_rounds)));
-  run.sent.assign(static_cast<std::size_t>(n), {});
+  EchoRun run = empty_echo_run(n, rounds_per_player);
   std::vector<TcpCluster::Program> programs;
   for (int i = 0; i < n; ++i) {
     programs.push_back([&run, &rounds_per_player](TcpPartyIo& io) {
@@ -213,6 +218,89 @@ TEST(TcpClusterTest, EarlyReturnMatchesSimulatedDrop) {
   const TcpStats st = loop.node(0).stats();
   EXPECT_TRUE(st.peers[2].bye);
   EXPECT_FALSE(st.peers[2].lapsed);
+}
+
+// The ledger half of the equivalence: one player is banned before the
+// run and every receiver reports decode failures against another, so
+// both transports exercise ban suppression and decode reports through
+// the shared admit path. Inboxes, the verdict counts (the simulator's
+// totals against the sum over the TCP nodes) and the
+// `net/decode_reject` trace stamps must all agree.
+TEST(TcpClusterTest, MisbehaviorLedgerMatchesSimulatedCluster) {
+  const int n = 4, t = 1, rounds = 4;
+  // Every receiver but `framed` reports it once per round; over `rounds`
+  // rounds that stays below ban_enter even on the simulator's single
+  // shared manager, so no ban lands mid-run on either transport.
+  const int banned = 3, framed = 1;
+  const std::uint64_t seed = 23;
+  const std::vector<int> uniform(static_cast<std::size_t>(n), rounds);
+  const auto make_manager = [&] {
+    MisbehaviorPolicy policy;
+    policy.permanent_ban = true;
+    auto mgr = std::make_shared<MisbehaviorManager>(n, policy);
+    mgr->report(banned, MisbehaviorSignal::kForeignTraffic,
+                policy.ban_enter / policy.foreign_weight);
+    EXPECT_TRUE(mgr->banned(banned));
+    return mgr;
+  };
+  const auto decode_stamps = [] {
+    std::vector<std::string> out;
+    for (const TraceEvent& ev : tracer().events()) {
+      if (ev.protocol != "net" || ev.phase != "decode_reject") continue;
+      out.push_back(std::to_string(ev.player) + "/" +
+                    std::to_string(ev.round_begin) + "/" +
+                    std::to_string(ev.batch) + "/" + ev.detail);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (const WireVersion v : {WireVersion::kV0, WireVersion::kV1}) {
+    SCOPED_TRACE(v == WireVersion::kV0 ? "wire v0" : "wire v1");
+    WireGuard guard(v);
+    tracer().clear();
+    tracer().set_enabled(true);
+
+    EchoRun sim = empty_echo_run(n, uniform);
+    Cluster cluster(n, t, seed);
+    cluster.set_misbehavior_manager(make_manager());
+    cluster.run(std::vector<Cluster::Program>(
+        static_cast<std::size_t>(n),
+        [&](PartyIo& io) { echo_program(io, rounds, sim, framed); }));
+    const std::vector<std::string> sim_stamps = decode_stamps();
+    tracer().clear();
+
+    EchoRun tcp = empty_echo_run(n, uniform);
+    TcpLoopback loop(n, t, seed);
+    for (int i = 0; i < n; ++i) {
+      loop.node(i).set_misbehavior_manager(make_manager());
+    }
+    ASSERT_TRUE(loop.start());
+    std::vector<TcpCluster::Program> programs;
+    for (int i = 0; i < n; ++i) {
+      programs.push_back(
+          [&](TcpPartyIo& io) { echo_program(io, rounds, tcp, framed); });
+    }
+    loop.run(std::move(programs));
+    const std::vector<std::string> tcp_stamps = decode_stamps();
+    tracer().set_enabled(false);
+    tracer().clear();
+
+    expect_echo_runs_equal(sim, tcp, n);
+    std::uint64_t tcp_banned = 0, tcp_decode = 0;
+    for (int i = 0; i < n; ++i) {
+      const TcpStats st = loop.node(i).stats();
+      tcp_banned += st.banned_suppressions;
+      tcp_decode += st.decode_rejections;
+    }
+    // Player 3 sends 4 non-self envelopes a round, all suppressed; three
+    // receivers report `framed` once a round.
+    EXPECT_EQ(cluster.banned_suppressions(), 4u * rounds);
+    EXPECT_EQ(cluster.decode_rejections(), 3u * rounds);
+    EXPECT_EQ(cluster.banned_suppressions(), tcp_banned);
+    EXPECT_EQ(cluster.decode_rejections(), tcp_decode);
+    EXPECT_EQ(sim_stamps.size(), 3u * rounds);
+    EXPECT_EQ(sim_stamps, tcp_stamps);
+  }
 }
 
 TEST(TcpClusterTest, VssMatchesSimulatedCluster) {

@@ -127,6 +127,9 @@ echo "=== [check] TCP transport gate (loopback equivalence + process smoke) ==="
 # suites run again under the sanitizer matrix via ctest).
 ./build/tests/tcp_framing_test
 ./build/tests/tcp_cluster_test
+# Shutdown races (Bye vs. the last round frames) only show up under
+# repetition.
+./build/tests/tcp_cluster_test --gtest_repeat=20
 
 # Multi-process smoke: three dprbg_node processes on loopback must mint
 # at least one beacon output and print IDENTICAL beacon lines — the
