@@ -13,11 +13,10 @@
 // table locating the crossover.
 //
 // --sweep-M (E20, DESIGN.md §14) switches to the wide-batch kernel
-// sweep: batch Z_q mul/axpy (element-wise loop vs scalar kernel vs
-// dispatched SIMD kernel), GF(2^64) software vs hardware CLMUL, the
-// blocked Horner combine, and the NTT-vs-schoolbook crossover, at
-// M = 4 ... 4096. Every SIMD timing is hard-asserted against the scalar
-// output in-run. --json emits one JSON row per table line
+// sweep: Z_q mul/butterfly (Zq::mul loop vs the NTT's Barrett loop),
+// GF(2^64) software vs hardware CLMUL, the blocked Horner combine, and
+// the NTT-vs-schoolbook crossover, at M = 4 ... 4096. Every kernel
+// timing is hard-asserted against the reference output in-run. --json emits one JSON row per table line
 // (BENCH_field_kernels.json is this output verbatim); --smoke trims the
 // M list for CI.
 
@@ -33,9 +32,6 @@
 #include "gf/fft_field.h"
 #include "gf/gf2.h"
 #include "gf/zq.h"
-#include "gf/zq_simd.h"
-#include "gradecast/gradecast.h"
-#include "net/msg.h"
 #include "poly/interpolate.h"
 #include "rng/chacha.h"
 
@@ -172,8 +168,8 @@ int run_kernel_sweep(bool smoke) {
       "the wide-batch engine's speed comes from executing the same ops "
       "faster: PCLMUL GF(2^64) mul >> 4x over the shift-XOR loop (the "
       "protocol field's hot op), blocked Horner combines over SoA rows, "
-      "NTT past the l-crossover; batch Z_q kernels feed the NTT stages "
-      "and are bit-asserted against the scalar loop");
+      "NTT past the l-crossover; the NTT's Barrett Z_q loops are "
+      "bit-asserted against the Zq::mul loop");
 
   const std::vector<std::size_t> ms =
       smoke ? std::vector<std::size_t>{4, 64, 1024}
@@ -182,71 +178,69 @@ int run_kernel_sweep(bool smoke) {
   bool ok = true;
   Chacha rng(0xe20);
 
-  // 1) Batch Z_q kernels: element-wise Zq loop (the pre-kernel idiom) vs
-  // the scalar kernel vs the dispatched SIMD kernel, bit-asserted equal.
-  // Two prime regimes: q=1021 is tabulated (the FftField operating
-  // point — the pre-PR loop is a 4 MB random-access product-table walk,
-  // which the kernels replace with in-register Barrett math), and the
-  // largest prime < 2^31 exercises the Barrett scalar loop.
+  // 1) Z_q vector loops: the element-wise Zq::mul loop (the product-
+  // table walk when q is tabulated) vs the Barrett loop body FftField's
+  // NTT runs (Zq::barrett_reduce per element), bit-asserted equal. Two
+  // prime regimes: q=1021 is tabulated (the FftField operating point, a
+  // 4 MB random-access table), and the largest prime < 2^31 is not, so
+  // both columns run Barrett there.
   for (const std::uint32_t q : {1021u, 2147483629u}) {
     const Zq zq(q);
     const std::uint64_t br = zq.barrett();
-    const auto& sc = simd::select_kernels(false);
-    const auto& vec = simd::select_kernels(true);
-    Table t({"M", "op", "loop_ns", "scalar_ns", "simd_ns", "simd_vs_loop",
-             "match"});
+    Table t({"M", "op", "loop_ns", "kernel_ns", "kernel_vs_loop", "match"});
     t.context("q", fmt(zq.q()));
     t.context("tabulated", zq.tabulated() ? "1" : "0");
-    t.context("dispatch", vec.name);
     for (const std::size_t m : ms) {
       const int reps =
           static_cast<int>(std::max<std::size_t>(1, budget / m));
       const auto a = sweep_residues(zq, m, rng);
       const auto b = sweep_residues(zq, m, rng);
-      const std::uint32_t s = rng.next_u32() % zq.q();
-      std::vector<std::uint32_t> d_loop(m), d_sc(m), d_vec(m);
+      std::vector<std::uint32_t> d_loop(m), d_kernel(m);
 
       const double mul_loop = time_ns_per_elem(m, reps, [&] {
+        for (std::size_t i = 0; i < m; ++i) d_loop[i] = zq.mul(a[i], b[i]);
+      });
+      const double mul_kernel = time_ns_per_elem(m, reps, [&] {
         for (std::size_t i = 0; i < m; ++i) {
-          d_loop[i] = zq.mul(a[i], b[i]);
+          d_kernel[i] =
+              Zq::barrett_reduce(std::uint64_t{a[i]} * b[i], q, br);
         }
       });
-      const double mul_sc = time_ns_per_elem(m, reps, [&] {
-        sc.mul(a.data(), b.data(), d_sc.data(), m, zq.q(), br);
-      });
-      const double mul_vec = time_ns_per_elem(m, reps, [&] {
-        vec.mul(a.data(), b.data(), d_vec.data(), m, zq.q(), br);
-      });
-      const bool mul_match = d_sc == d_loop && d_vec == d_loop;
+      const bool mul_match = d_kernel == d_loop;
       ok = ok && mul_match;
-      t.row({fmt(m), "mul", fmt(mul_loop), fmt(mul_sc), fmt(mul_vec),
-             fmt(mul_loop / mul_vec), mul_match ? "yes" : "NO"});
+      t.row({fmt(m), "mul", fmt(mul_loop), fmt(mul_kernel),
+             fmt(mul_loop / mul_kernel), mul_match ? "yes" : "NO"});
 
-      // axpy: timed repeated application keeps values in-range (residues
-      // stay residues), so mutation across reps is harmless; the match
-      // check uses a single application from a fresh copy.
-      std::vector<std::uint32_t> acc_loop = a, acc_sc = a, acc_vec = a;
-      const double ax_loop = time_ns_per_elem(m, reps, [&] {
+      // One NTT butterfly stage, lo/hi <- lo +/- hi*tw. Repeated
+      // application keeps values in range, so timing mutates in place;
+      // the match check uses a single application from fresh copies.
+      const auto butterfly = [&](std::vector<std::uint32_t>& lo,
+                                 std::vector<std::uint32_t>& hi,
+                                 bool barrett) {
         for (std::size_t i = 0; i < m; ++i) {
-          acc_loop[i] = zq.add(acc_loop[i], zq.mul(b[i], s));
+          const std::uint32_t v =
+              barrett
+                  ? Zq::barrett_reduce(std::uint64_t{hi[i]} * b[i], q, br)
+                  : zq.mul(hi[i], b[i]);
+          const std::uint32_t u = lo[i];
+          lo[i] = zq.add(u, v);
+          hi[i] = zq.sub(u, v);
         }
-      });
-      const double ax_sc = time_ns_per_elem(m, reps, [&] {
-        sc.axpy(acc_sc.data(), b.data(), s, m, zq.q(), br);
-      });
-      const double ax_vec = time_ns_per_elem(m, reps, [&] {
-        vec.axpy(acc_vec.data(), b.data(), s, m, zq.q(), br);
-      });
-      std::vector<std::uint32_t> one_loop = a, one_sc = a, one_vec = a;
-      for (std::size_t i = 0; i < m; ++i) {
-        one_loop[i] = zq.add(one_loop[i], zq.mul(b[i], s));
-      }
-      sc.axpy(one_sc.data(), b.data(), s, m, zq.q(), br);
-      vec.axpy(one_vec.data(), b.data(), s, m, zq.q(), br);
-      const bool ax_match = one_sc == one_loop && one_vec == one_loop;
-      ok = ok && ax_match;
-      t.row({fmt(m), "axpy", fmt(ax_loop), fmt(ax_sc), fmt(ax_vec),
-             fmt(ax_loop / ax_vec), ax_match ? "yes" : "NO"});
+      };
+      std::vector<std::uint32_t> lo_loop = a, hi_loop = b;
+      std::vector<std::uint32_t> lo_kernel = a, hi_kernel = b;
+      const double bf_loop = time_ns_per_elem(
+          m, reps, [&] { butterfly(lo_loop, hi_loop, false); });
+      const double bf_kernel = time_ns_per_elem(
+          m, reps, [&] { butterfly(lo_kernel, hi_kernel, true); });
+      lo_loop = lo_kernel = a;
+      hi_loop = hi_kernel = b;
+      butterfly(lo_loop, hi_loop, false);
+      butterfly(lo_kernel, hi_kernel, true);
+      const bool bf_match = lo_kernel == lo_loop && hi_kernel == hi_loop;
+      ok = ok && bf_match;
+      t.row({fmt(m), "butterfly", fmt(bf_loop), fmt(bf_kernel),
+             fmt(bf_loop / bf_kernel), bf_match ? "yes" : "NO"});
     }
     t.print();
   }
@@ -363,18 +357,15 @@ int run_kernel_sweep(bool smoke) {
   }
 
   if (!ok) {
-    std::fprintf(stderr,
-                 "FAIL: SIMD/scalar differential mismatch in sweep\n");
+    std::fprintf(stderr, "FAIL: kernel/reference mismatch in sweep\n");
     return 1;
   }
   if (!bench::json_mode()) {
     std::printf(
-        "\nshape check: every match column yes (SIMD == scalar == loop, "
+        "\nshape check: every match column yes (kernel == reference, "
         "bit-for-bit); hw CLMUL >= 10x soft at every M; NTT wins from "
-        "l >= %u. The Z_q SIMD columns are host-dependent: a modern OoO "
-        "core runs the scalar Barrett loop near the multiplier-port "
-        "ceiling, so parity there is expected — the batch win is CLMUL "
-        "+ blocked combines, not generic modmul.\n",
+        "l >= %u. The batch win is CLMUL + blocked combines, not generic "
+        "Z_q modmul.\n",
         FftField::kNttCrossoverL);
   }
   return 0;
@@ -480,47 +471,5 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  // Wire-format savings (deterministic byte arithmetic, no timing): the
-  // v1 varint framing vs the legacy v0 fixed-width framing, for the two
-  // places it bites — the per-envelope header and the Grade-Cast echo
-  // body, where v0 spends 5 bytes of overhead per sender against v1's 1
-  // byte for values under 127 bytes (GF(2^8)..GF(2^64) values are 1-8).
-  {
-    print_header("wire v0 vs v1: envelope + Grade-Cast echo bytes",
-                 "the versioned varint framing's dividend at small field "
-                 "values; v0 stays the default and golden-pinned");
-    Table wt({"n", "value_B", "echo_v0_B", "echo_v1_B", "hdr_v0_B",
-              "hdr_v1_B", "echo_savings_%"});
-    wt.context("table", "wire_savings");
-    for (const int n : {7, 13, 31}) {
-      for (const std::size_t value_size : {2u, 8u, 64u}) {
-        std::vector<gradecast_detail::MaybeValue> per_sender(
-            static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-          // One absent slot (a silent sender) keeps the layout honest.
-          if (i == n - 1) continue;
-          per_sender[static_cast<std::size_t>(i)].emplace(value_size,
-                                                          0x5A);
-        }
-        const auto v0 = gradecast_detail::encode_echoes(
-            per_sender, WireVersion::kV0);
-        const auto v1 = gradecast_detail::encode_echoes(
-            per_sender, WireVersion::kV1);
-        EnvelopeHeader h;
-        h.from = static_cast<std::uint32_t>(n - 1);
-        h.tag = make_tag(ProtoId::kGradeCast, 1, 2);
-        h.batch = 3;
-        h.body_len = static_cast<std::uint32_t>(v1.size());
-        const std::size_t h0 = envelope_header_bytes(h, WireVersion::kV0);
-        const std::size_t h1 = envelope_header_bytes(h, WireVersion::kV1);
-        const double savings =
-            100.0 * (1.0 - static_cast<double>(v1.size() + h1) /
-                               static_cast<double>(v0.size() + h0));
-        wt.row({fmt(n), fmt(value_size), fmt(v0.size()), fmt(v1.size()),
-                fmt(h0), fmt(h1), fmt(savings)});
-      }
-    }
-    wt.print();
-  }
   return 0;
 }

@@ -27,9 +27,9 @@
 // width sweep: M = 4 ... 4096 coins per batch at depths 1 and 4, with
 // the depth-1 serial cross-check and the stale==0 invariant hard-
 // asserted at every M (exit 1 on any violation). Protocol cost per M is
-// identical across kernel dispatch modes, so comparing this sweep
-// against a DPRBG_FORCE_SCALAR=1 run isolates the wide-batch compute
-// engine's contribution (BENCH_pipeline.json records both).
+// identical with and without the PCLMUL GF(2^64) multiply, so comparing
+// this sweep against a DPRBG_FORCE_SCALAR=1 run isolates that kernel's
+// contribution (BENCH_pipeline.json records both).
 
 #include <chrono>
 #include <cstdio>
@@ -45,7 +45,6 @@
 #include "dprbg/coin_pool.h"
 #include "dprbg/trusted_dealer.h"
 #include "gf/gf2.h"
-#include "gf/zq_simd.h"
 #include "net/cluster.h"
 
 namespace dprbg {
@@ -278,7 +277,8 @@ int main(int argc, char** argv) {
         "per-coin protocol cost is flat in M (Lemma 8 rounds are "
         "M-independent), so coins/sec grows with M until compute "
         "dominates; the wide-batch kernels move that crossover and the "
-        "compute ceiling — compare against a DPRBG_FORCE_SCALAR=1 run");
+        "compute ceiling — compare against a DPRBG_FORCE_SCALAR=1 run "
+        "(software GF(2^64) multiply)");
     const std::vector<unsigned> ms =
         smoke ? std::vector<unsigned>{4, 64, 1024}
               : std::vector<unsigned>{4, 16, 64, 256, 1024, 4096};
@@ -289,7 +289,6 @@ int main(int argc, char** argv) {
     table.context("t", fmt(kT));
     table.context("rtt_us", fmt(rtt_us));
     table.context("batches", fmt(sweep_batches));
-    table.context("zq_dispatch", simd::dispatch_name());
     table.context("clmul_hw", gf2_detail::clmul_hw ? "1" : "0");
     bool clean = true;
     for (const unsigned m : ms) {

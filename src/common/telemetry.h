@@ -279,6 +279,18 @@ class MetricsRegistry {
 // The process-wide registry used by every instrumentation site.
 MetricsRegistry& metrics() noexcept;
 
+// One block of `elems` elements through a vector field kernel: the
+// blocked kernels in poly/interpolate.h and the NTT loops in
+// gf/fft_field.cpp. Publishes field_kernel_elems_total{op} and the
+// field_kernel_block_len{op} histogram; a no-op when telemetry is off.
+inline void note_field_kernel(const char* op, std::size_t elems) {
+  if (!telemetry_enabled()) return;
+  MetricsRegistry& reg = metrics();
+  const std::string labels = std::string("op=") + op;
+  reg.counter("field_kernel_elems_total", labels).add(elems);
+  reg.histogram("field_kernel_block_len", labels).observe(elems);
+}
+
 // ---------------------------------------------------------------------
 // Timing helper: a steady-clock stamp that call sites take only when
 // telemetry is enabled, so the disabled mode performs no clock reads.

@@ -4,7 +4,7 @@
 
 #include "common/check.h"
 #include "common/metrics.h"
-#include "gf/zq_simd.h"
+#include "common/telemetry.h"
 
 namespace dprbg {
 
@@ -123,6 +123,52 @@ unsigned next_pow2(unsigned n) {
   return p;
 }
 
+// ---------------------------------------------------------------------
+// The three Z_q vector loops the NTT runs over contiguous residues, each
+// reduced with Zq::barrett_reduce on q and its reciprocal held in
+// locals. Inputs and outputs are canonical residues; dst may alias a or
+// b. E20 (bench/field_ops --sweep-M) times the mul and butterfly bodies
+// against the Zq::mul loop and asserts they agree.
+
+// dst[i] = a[i] * b[i] mod q
+void zq_mul(const Zq& zq, const std::uint32_t* a, const std::uint32_t* b,
+            std::uint32_t* dst, std::size_t n) {
+  note_field_kernel("mul", n);
+  const std::uint32_t q = zq.q();
+  const std::uint64_t m = zq.barrett();
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = Zq::barrett_reduce(std::uint64_t{a[i]} * b[i], q, m);
+  }
+}
+
+// dst[i] = a[i] * s mod q
+void zq_scale(const Zq& zq, const std::uint32_t* a, std::uint32_t s,
+              std::uint32_t* dst, std::size_t n) {
+  note_field_kernel("scale", n);
+  const std::uint32_t q = zq.q();
+  const std::uint64_t m = zq.barrett();
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = Zq::barrett_reduce(std::uint64_t{a[i]} * s, q, m);
+  }
+}
+
+// One NTT stage over n butterfly pairs:
+//   v = hi[i] * tw[i];  hi[i] = lo[i] - v;  lo[i] = lo[i] + v   (mod q)
+void zq_butterfly(const Zq& zq, std::uint32_t* lo, std::uint32_t* hi,
+                  const std::uint32_t* tw, std::size_t n) {
+  note_field_kernel("butterfly", n);
+  const std::uint32_t q = zq.q();
+  const std::uint64_t m = zq.barrett();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t u = lo[i];
+    const std::uint32_t v =
+        Zq::barrett_reduce(std::uint64_t{hi[i]} * tw[i], q, m);
+    const std::uint32_t sum = u + v;
+    lo[i] = sum >= q ? sum - q : sum;
+    hi[i] = u >= v ? u - v : u + q - v;
+  }
+}
+
 }  // namespace
 
 FftField::FftField(unsigned l, std::uint64_t seed) : l_(l), zq_([&] {
@@ -151,7 +197,7 @@ FftField::FftField(unsigned l, std::uint64_t seed) : l_(l), zq_([&] {
   // Per-stage dense twiddle tables (header comment): stage s covers
   // len = 2^(s+1), needing len/2 twiddles w^(j * N/len). These replace
   // the strided roots[j*step] gathers so each stage is one contiguous
-  // batch-butterfly call per block.
+  // butterfly loop per block.
   for (unsigned len = 2; len <= ntt_size_; len <<= 1) {
     const unsigned step = ntt_size_ / len;
     std::vector<std::uint32_t> fwd(len / 2), inv(len / 2);
@@ -297,11 +343,11 @@ void FftField::ntt(std::span<std::uint32_t> a, bool inverse) const {
     const unsigned half = len / 2;
     const std::uint32_t* tw = stages[s].data();
     for (unsigned i = 0; i < n; i += len) {
-      simd::zq_butterfly(zq_, a.data() + i, a.data() + i + half, tw, half);
+      zq_butterfly(zq_, a.data() + i, a.data() + i + half, tw, half);
     }
   }
   if (inverse) {
-    simd::zq_scale(zq_, a.data(), ntt_size_inv_, a.data(), n);
+    zq_scale(zq_, a.data(), ntt_size_inv_, a.data(), n);
   }
 }
 
@@ -333,7 +379,7 @@ FftElem FftField::mul_impl(const FftElem& a, const FftElem& b,
     }
     ntt(std::span(fa), /*inverse=*/false);
     ntt(std::span(fb), /*inverse=*/false);
-    simd::zq_mul(zq_, fa.data(), fb.data(), fa.data(), ntt_size_);
+    zq_mul(zq_, fa.data(), fb.data(), fa.data(), ntt_size_);
     ntt(std::span(fa), /*inverse=*/true);
   } else {
     fa.assign(2 * l_ - 1, 0);

@@ -92,18 +92,18 @@ class FftField {
   [[nodiscard]] FftElem inv(const FftElem& a) const;
   [[nodiscard]] FftElem pow(const FftElem& a, std::uint64_t e) const;
 
-  // Smallest l where the NTT multiply beats schoolbook end-to-end,
-  // located by `bench/field_ops --sweep-M` (EXPERIMENTS.md E20):
-  // schoolbook's tight O(l^2) inner loop wins through l = 64 on its
-  // constant factors; from l = 128 up the O(l log l) path is ahead
-  // (1.2x at 128, 3.5x at 256) and the gap widens with l. Matches E1's
-  // crossover at k ~ 1-3 x 10^3 bits (k ~ 31 l).
+  // Smallest l where the NTT multiply beats schoolbook end-to-end in
+  // every run of `bench/field_ops --sweep-M` (EXPERIMENTS.md E20):
+  // schoolbook's tight O(l^2) inner loop wins through l = 32 on its
+  // constant factors, l = 64 is a near-tie, and from l = 128 up the
+  // O(l log l) path is ahead (~2x at 128, 5-9x at 256) with the gap
+  // widening in l.
   static constexpr unsigned kNttCrossoverL = 128;
 
   // In-place radix-2 NTT over Z_q; a.size() must equal ntt_size().
   // Public so the property tests can exercise round-trips and the size
-  // contract directly; butterflies run through the dispatched batch
-  // kernels (gf/zq_simd.h) over per-stage contiguous twiddle tables.
+  // contract directly; each stage runs one Barrett butterfly loop per
+  // block over a per-stage contiguous twiddle table.
   void ntt(std::span<std::uint32_t> a, bool inverse) const;
   [[nodiscard]] unsigned ntt_size() const { return ntt_size_; }
 

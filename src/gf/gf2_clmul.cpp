@@ -1,6 +1,6 @@
 #include "gf/gf2_clmul.h"
 
-#include "gf/zq_simd.h"
+#include <cstdlib>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -9,9 +9,27 @@
 
 namespace dprbg::gf2_detail {
 
-bool clmul_hw_probe() {
-  return simd::pclmul_supported() && !simd::force_scalar();
+namespace {
+
+// The CPU reports PCLMUL and SSE4.1.
+bool pclmul_supported() {
+#ifdef DPRBG_X86
+  return __builtin_cpu_supports("pclmul") != 0 &&
+         __builtin_cpu_supports("sse4.1") != 0;
+#else
+  return false;
+#endif
 }
+
+// The DPRBG_FORCE_SCALAR environment variable is set to anything but "0".
+bool force_scalar() {
+  const char* e = std::getenv("DPRBG_FORCE_SCALAR");
+  return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
+}
+
+}  // namespace
+
+bool clmul_hw_probe() { return pclmul_supported() && !force_scalar(); }
 
 #ifdef DPRBG_X86
 

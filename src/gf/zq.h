@@ -21,10 +21,32 @@ class Zq {
 
   [[nodiscard]] std::uint32_t q() const { return q_; }
   [[nodiscard]] bool tabulated() const { return !mul_table_.empty(); }
-  // The Barrett reciprocal floor((2^64 - 1) / q). Exposed for the batch
-  // kernels in gf/zq_simd.h, which reduce whole vectors with the same
-  // constant (and therefore produce the same canonical residues).
+  // The Barrett reciprocal floor((2^64 - 1) / q), for loops that hoist
+  // q and it out of the object (see barrett_reduce).
   [[nodiscard]] std::uint64_t barrett() const { return barrett_; }
+  // Barrett reduction of p < 2^64 modulo q with m = barrett(): q_hat =
+  // mulhi64(p, m) satisfies floor(p/q) - 1 <= q_hat <= floor(p/q), so
+  // r = p - q_hat*q < 2q and one conditional subtract finishes — no
+  // hardware divide, for every q >= 1. Static so vector loops (the NTT
+  // in gf/fft_field.cpp) can keep q and m in registers: a store through
+  // a uint32_t* may alias q_, which would force a reload per element.
+  [[nodiscard]] static std::uint32_t barrett_reduce(std::uint64_t p,
+                                                    std::uint32_t q,
+                                                    std::uint64_t m) {
+#ifdef __SIZEOF_INT128__
+    const std::uint64_t q_hat = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(p) * m) >> 64);
+    std::uint64_t r = p - q_hat * q;
+    if (r >= q) r -= q;
+    return static_cast<std::uint32_t>(r);
+#else
+    (void)m;
+    return static_cast<std::uint32_t>(p % q);
+#endif
+  }
+  [[nodiscard]] std::uint32_t reduce(std::uint64_t p) const {
+    return barrett_reduce(p, q_, barrett_);
+  }
 
   [[nodiscard]] std::uint32_t add(std::uint32_t a, std::uint32_t b) const {
     const std::uint32_t s = a + b;
@@ -57,24 +79,6 @@ class Zq {
   static bool is_prime(std::uint32_t n);
 
  private:
-  // Barrett reduction of p < 2^64 modulo q on the non-tabulated hot path
-  // (NTT butterflies call mul() in a tight loop): with the precomputed
-  // reciprocal m = floor((2^64-1) / q), q_hat = mulhi64(p, m) satisfies
-  // floor(p/q) - 1 <= q_hat <= floor(p/q), so r = p - q_hat*q < 2q and
-  // one conditional subtract finishes — no hardware divide, for every
-  // q >= 1.
-  [[nodiscard]] std::uint32_t reduce(std::uint64_t p) const {
-#ifdef __SIZEOF_INT128__
-    const std::uint64_t q_hat = static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(p) * barrett_) >> 64);
-    std::uint64_t r = p - q_hat * q_;
-    if (r >= q_) r -= q_;
-    return static_cast<std::uint32_t>(r);
-#else
-    return static_cast<std::uint32_t>(p % q_);
-#endif
-  }
-
   std::uint32_t q_;
   std::uint64_t barrett_ = 0;             // floor((2^64 - 1) / q)
   std::vector<std::uint32_t> mul_table_;  // q*q entries when q <= kTableLimit

@@ -8,8 +8,8 @@
 //
 //   kHello     dialer -> listener, first bytes after connect. Carries the
 //              magic, the framing protocol version, the envelope wire
-//              version the sender will encode round frames with
-//              (net/msg.h v0/v1), the roster hash (both ends must be
+//              version the sender encodes round frames with (net/msg.h;
+//              only v1 exists), the roster hash (both ends must be
 //              configured with the same player list), and the dialer's
 //              player id. The listener validates every field and answers
 //              kHelloAck or closes the connection (a handshake reject).
@@ -17,8 +17,8 @@
 //   kRound     one (stream, round, sender -> receiver) bundle: every
 //              envelope the sender staged for this receiver during that
 //              lockstep round, in send order, each encoded with the
-//              envelope codec of the handshaken wire version. An empty
-//              bundle is still sent — it is the round barrier marker.
+//              net/msg.h envelope codec. An empty bundle is still
+//              sent — it is the round barrier marker.
 //   kBye       the sender's program returned; barriers stop waiting for
 //              it on every stream (the transport equivalent of
 //              Cluster::drop()).
@@ -89,7 +89,9 @@ enum class FrameType : std::uint8_t {
 struct HelloFrame {
   std::uint8_t proto_version = kTcpProtoVersion;
   // Envelope codec for kRound frames on this connection, as a raw byte
-  // of WireVersion. Both ends must agree or decode would silently skew.
+  // of WireVersion. v1 is the only codec this tree speaks; the byte is
+  // still checked so a peer built with any other format is refused
+  // before its frames could be misdecoded.
   std::uint8_t wire_version = 0;
   // Hash of the roster (host:port list) both ends were configured with;
   // a mismatch means the two processes disagree about who the n players
@@ -154,7 +156,7 @@ inline constexpr std::size_t kHandshakeRejectReasons = 5;
 // Round payload (kRound).
 //
 //     uvarint stream | uvarint round | uvarint count |
-//     count * (envelope header under `wire` | body bytes)
+//     count * (envelope header | body bytes)
 //
 // The frame carries one sender's envelopes for ONE receiver and one
 // (stream, round); the receiver learned the sender's id at handshake
@@ -171,8 +173,7 @@ struct RoundFrame {
 };
 
 [[nodiscard]] inline std::vector<std::uint8_t> encode_round_frame(
-    std::uint32_t stream, std::uint64_t round, std::span<const Msg> msgs,
-    WireVersion wire) {
+    std::uint32_t stream, std::uint64_t round, std::span<const Msg> msgs) {
   ByteWriter w;
   w.uvarint(stream);
   w.uvarint(round);
@@ -183,7 +184,7 @@ struct RoundFrame {
     h.tag = m.tag;
     h.batch = m.batch;
     h.body_len = static_cast<std::uint32_t>(m.body.size());
-    encode_envelope_header(w, h, wire);
+    encode_envelope_header(w, h);
     w.bytes(m.body);
   }
   return std::move(w).take();
@@ -195,8 +196,8 @@ struct RoundFrame {
 // bounds a single envelope body so a hostile peer cannot force a huge
 // allocation from a small frame.
 [[nodiscard]] inline std::optional<RoundFrame> decode_round_frame(
-    std::span<const std::uint8_t> payload, WireVersion wire,
-    int expected_from, std::size_t max_body) {
+    std::span<const std::uint8_t> payload, int expected_from,
+    std::size_t max_body) {
   ByteReader r(payload);
   const std::uint64_t stream = r.uvarint();
   const std::uint64_t round = r.uvarint();
@@ -210,7 +211,7 @@ struct RoundFrame {
   f.round = round;
   f.msgs.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    const auto h = decode_envelope_header(r, wire);
+    const auto h = decode_envelope_header(r);
     if (!h) return std::nullopt;
     if (static_cast<int>(h->from) != expected_from) return std::nullopt;
     if (h->body_len > max_body) return std::nullopt;

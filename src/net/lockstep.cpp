@@ -65,7 +65,7 @@ std::uint64_t lockstep_wire_bytes(const Msg& msg) {
   h.tag = msg.tag;
   h.batch = msg.batch;
   h.body_len = static_cast<std::uint32_t>(msg.body.size());
-  return msg.body.size() + envelope_header_bytes(h, wire_version());
+  return msg.body.size() + envelope_header_bytes(h);
 }
 
 // ---------------------------------------------------------------------------
@@ -151,12 +151,12 @@ LockstepCore::~LockstepCore() = default;
 
 PartyIo& LockstepCore::handle(int player, std::uint32_t stream) {
   DPRBG_CHECK(player >= 0 && player < n_);
-  // The v0 wire header encodes the stream id as a uint16 (kV0HeaderBytes
-  // in net/msg.h); every envelope is staged via a handle created here, so
-  // checking at this choke point enforces the claim for all traffic.
-  // Batch ids grow monotonically without reuse (DPrbg never recycles
-  // them), so a long-running instance hits this loudly instead of
-  // silently breaking the byte accounting.
+  // Caps per-peer stream allocation: every envelope is staged via a
+  // handle created here, so checking at this choke point bounds the
+  // stream table for all traffic. Batch ids grow monotonically without
+  // reuse (DPrbg never recycles them), so a long-running instance whose
+  // batch id would wrap fails loudly here instead of aliasing an old
+  // stream.
   DPRBG_CHECK(stream <= 0xFFFF);
   std::lock_guard lk(mu_);
   std::unique_ptr<PartyIo>& io = handles_[{player, stream}];

@@ -18,7 +18,8 @@ namespace dprbg {
 namespace {
 
 // Stream ids are bounded by the core's handle check (batch <= 0xFFFF,
-// for v0 wire parity); a frame claiming a stream beyond the bound is a
+// which caps per-peer stream allocation and makes a DPrbg batch-id wrap
+// fail loudly); a frame claiming a stream beyond the bound is a
 // violation, which also caps how many StreamStates a hostile peer can
 // make us allocate.
 constexpr std::uint32_t kTcpMaxStreamId = 0xFFFF;
@@ -279,8 +280,7 @@ void TcpCluster::on_frame(int peer, FrameType type,
   // proceed without it (leaving it connected would park every barrier
   // forever).
   if (type != FrameType::kRound) return reject_frame(peer);
-  auto frame = decode_round_frame(payload, wire_version(), peer,
-                                  kTcpMaxFrameBytes);
+  auto frame = decode_round_frame(payload, peer, kTcpMaxFrameBytes);
   if (!frame || frame->stream > kTcpMaxStreamId) return reject_frame(peer);
   bool notify = false;
   {
@@ -327,7 +327,6 @@ void TcpCluster::on_frame(int peer, FrameType type,
 void TcpCluster::link_sync(PartyIo& io) {
   const std::uint32_t stream = io.stream();
   const std::uint64_t round = io.rounds();
-  const WireVersion wv = wire_version();
   const int n = this->n();
 
   // Partition this round's staged envelopes by destination, preserving
@@ -344,7 +343,7 @@ void TcpCluster::link_sync(PartyIo& io) {
   for (int j = 0; j < n; ++j) {
     if (j == id_) continue;
     const auto payload = encode_round_frame(
-        stream, round, outgoing[static_cast<std::size_t>(j)], wv);
+        stream, round, outgoing[static_cast<std::size_t>(j)]);
     peers_[static_cast<std::size_t>(j)]->enqueue(
         frame_bytes(FrameType::kRound, payload));
   }

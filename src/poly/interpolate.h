@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <map>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/arena.h"
@@ -244,20 +243,6 @@ F interpolate_at(std::span<const PointValue<F>> points, F target) {
 // Blocked SoA kernels: evaluate all M columns of a round's share matrix
 // in one pass. See the header comment for the equivalence contract.
 
-namespace interp_detail {
-
-// field_kernel_* telemetry for the generic-field blocked kernels (the
-// Zq-specific kernels in gf/zq_simd.cpp publish under the same names).
-inline void tel_block(const char* op, std::size_t elems) {
-  if (!telemetry_enabled()) return;
-  MetricsRegistry& reg = metrics();
-  const std::string labels = std::string("op=") + op;
-  reg.counter("field_kernel_elems_total", labels).add(elems);
-  reg.histogram("field_kernel_block_len", labels).observe(elems);
-}
-
-}  // namespace interp_detail
-
 // Horner combinations of many rows under one challenge r, all in one
 // blocked pass: out[i] = sum_{j=1..m} rows[i][j-1] * r^j, i.e. exactly
 // batch_combine(rows[i], r) for every row. Rows are register-tiled so a
@@ -270,7 +255,7 @@ template <FiniteField F>
 void batch_combine_block(std::span<const F* const> rows, std::size_t m, F r,
                          std::span<F> out) {
   DPRBG_CHECK(out.size() == rows.size());
-  interp_detail::tel_block("combine_block", rows.size() * m);
+  note_field_kernel("combine_block", rows.size() * m);
   constexpr std::size_t kTile = 32;
   F acc[kTile];
   for (std::size_t r0 = 0; r0 < rows.size(); r0 += kTile) {
@@ -293,7 +278,7 @@ void batch_combine_block(std::span<const F* const> rows, std::size_t m, F r,
 template <FiniteField F>
 void accumulate_rows_block(std::span<const F* const> rows,
                            std::span<F> out) {
-  interp_detail::tel_block("row_sum", rows.size() * out.size());
+  note_field_kernel("row_sum", rows.size() * out.size());
   constexpr std::size_t kTile = 64;
   const std::size_t m = out.size();
   for (std::size_t h0 = 0; h0 < m; h0 += kTile) {
@@ -323,7 +308,7 @@ void interpolate_at_block(std::span<const PointValue<F>> points,
   const std::size_t m = out.size();
   DPRBG_CHECK(n > 0 && rows.size() == n);
   for (std::size_t h = 0; h < m; ++h) count_interpolation();
-  interp_detail::tel_block("interp_block", n * m);
+  note_field_kernel("interp_block", n * m);
   const interp_detail::GridData<F>* grid =
       interp_detail::grid_lookup<F>(points);
   ArenaScope scope(scratch_arena());

@@ -33,6 +33,7 @@ const std::map<std::string, FuzzEntry>& targets() {
       {"varint", &fuzz::varint_one},
       {"envelope_header", &fuzz::envelope_header_one},
       {"protocol_decoders", &fuzz::protocol_decoders_one},
+      {"frames", &fuzz::frames_one},
   };
   return kTargets;
 }

@@ -41,14 +41,6 @@ using F = GF2_64;
 
 constexpr std::uint32_t kTag = make_tag(ProtoId::kApp, 0, 0);
 
-struct WireGuard {
-  WireVersion saved;
-  explicit WireGuard(WireVersion v) : saved(wire_version()) {
-    set_wire_version(v);
-  }
-  ~WireGuard() { set_wire_version(saved); }
-};
-
 bool wait_until(const std::function<bool()>& pred, unsigned timeout_ms = 5000) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
@@ -186,8 +178,9 @@ TEST(TcpClusterTest, EchoMatchesSimulatedClusterBitForBit) {
   }
 }
 
+// The same equivalence at a second seed and round count, over the v1
+// envelope format both backends charge.
 TEST(TcpClusterTest, EchoMatchesUnderV1Wire) {
-  WireGuard guard(WireVersion::kV1);
   const int n = 4, t = 1, rounds = 3;
   const std::uint64_t seed = 31;
   const std::vector<int> uniform(static_cast<std::size_t>(n), rounds);
@@ -254,53 +247,49 @@ TEST(TcpClusterTest, MisbehaviorLedgerMatchesSimulatedCluster) {
     std::sort(out.begin(), out.end());
     return out;
   };
-  for (const WireVersion v : {WireVersion::kV0, WireVersion::kV1}) {
-    SCOPED_TRACE(v == WireVersion::kV0 ? "wire v0" : "wire v1");
-    WireGuard guard(v);
-    tracer().clear();
-    tracer().set_enabled(true);
+  tracer().clear();
+  tracer().set_enabled(true);
 
-    EchoRun sim = empty_echo_run(n, uniform);
-    Cluster cluster(n, t, seed);
-    cluster.set_misbehavior_manager(make_manager());
-    cluster.run(std::vector<Cluster::Program>(
-        static_cast<std::size_t>(n),
-        [&](PartyIo& io) { echo_program(io, rounds, sim, framed); }));
-    const std::vector<std::string> sim_stamps = decode_stamps();
-    tracer().clear();
+  EchoRun sim = empty_echo_run(n, uniform);
+  Cluster cluster(n, t, seed);
+  cluster.set_misbehavior_manager(make_manager());
+  cluster.run(std::vector<Cluster::Program>(
+      static_cast<std::size_t>(n),
+      [&](PartyIo& io) { echo_program(io, rounds, sim, framed); }));
+  const std::vector<std::string> sim_stamps = decode_stamps();
+  tracer().clear();
 
-    EchoRun tcp = empty_echo_run(n, uniform);
-    TcpLoopback loop(n, t, seed);
-    for (int i = 0; i < n; ++i) {
-      loop.node(i).set_misbehavior_manager(make_manager());
-    }
-    ASSERT_TRUE(loop.start());
-    std::vector<TcpCluster::Program> programs;
-    for (int i = 0; i < n; ++i) {
-      programs.push_back(
-          [&](TcpPartyIo& io) { echo_program(io, rounds, tcp, framed); });
-    }
-    loop.run(std::move(programs));
-    const std::vector<std::string> tcp_stamps = decode_stamps();
-    tracer().set_enabled(false);
-    tracer().clear();
-
-    expect_echo_runs_equal(sim, tcp, n);
-    std::uint64_t tcp_banned = 0, tcp_decode = 0;
-    for (int i = 0; i < n; ++i) {
-      const TcpStats st = loop.node(i).stats();
-      tcp_banned += st.banned_suppressions;
-      tcp_decode += st.decode_rejections;
-    }
-    // Player 3 sends 4 non-self envelopes a round, all suppressed; three
-    // receivers report `framed` once a round.
-    EXPECT_EQ(cluster.banned_suppressions(), 4u * rounds);
-    EXPECT_EQ(cluster.decode_rejections(), 3u * rounds);
-    EXPECT_EQ(cluster.banned_suppressions(), tcp_banned);
-    EXPECT_EQ(cluster.decode_rejections(), tcp_decode);
-    EXPECT_EQ(sim_stamps.size(), 3u * rounds);
-    EXPECT_EQ(sim_stamps, tcp_stamps);
+  EchoRun tcp = empty_echo_run(n, uniform);
+  TcpLoopback loop(n, t, seed);
+  for (int i = 0; i < n; ++i) {
+    loop.node(i).set_misbehavior_manager(make_manager());
   }
+  ASSERT_TRUE(loop.start());
+  std::vector<TcpCluster::Program> programs;
+  for (int i = 0; i < n; ++i) {
+    programs.push_back(
+        [&](TcpPartyIo& io) { echo_program(io, rounds, tcp, framed); });
+  }
+  loop.run(std::move(programs));
+  const std::vector<std::string> tcp_stamps = decode_stamps();
+  tracer().set_enabled(false);
+  tracer().clear();
+
+  expect_echo_runs_equal(sim, tcp, n);
+  std::uint64_t tcp_banned = 0, tcp_decode = 0;
+  for (int i = 0; i < n; ++i) {
+    const TcpStats st = loop.node(i).stats();
+    tcp_banned += st.banned_suppressions;
+    tcp_decode += st.decode_rejections;
+  }
+  // Player 3 sends 4 non-self envelopes a round, all suppressed; three
+  // receivers report `framed` once a round.
+  EXPECT_EQ(cluster.banned_suppressions(), 4u * rounds);
+  EXPECT_EQ(cluster.decode_rejections(), 3u * rounds);
+  EXPECT_EQ(cluster.banned_suppressions(), tcp_banned);
+  EXPECT_EQ(cluster.decode_rejections(), tcp_decode);
+  EXPECT_EQ(sim_stamps.size(), 3u * rounds);
+  EXPECT_EQ(sim_stamps, tcp_stamps);
 }
 
 TEST(TcpClusterTest, VssMatchesSimulatedCluster) {
@@ -526,15 +515,20 @@ HelloFrame valid_hello_for(const TcpLoopback& loop, int n, int t) {
   return h;
 }
 
-// Connects to `port` and sends one frame; the listener either rejects
+// Connects to `port` and writes `bytes`; the listener either rejects
 // (closes) or acks. Returns true if the probe socket opened and wrote.
-bool probe(std::uint16_t port, FrameType type,
-           const std::vector<std::uint8_t>& payload) {
+bool probe_bytes(std::uint16_t port, const std::vector<std::uint8_t>& bytes) {
   const int fd = tcp_connect_socket("127.0.0.1", port, 2000);
   if (fd < 0) return false;
-  const bool ok = tcp_write_all(fd, frame_bytes(type, payload));
+  const bool ok = tcp_write_all(fd, bytes);
   ::close(fd);
   return ok;
+}
+
+// Sends one well-formed frame around `payload`.
+bool probe(std::uint16_t port, FrameType type,
+           const std::vector<std::uint8_t>& payload) {
+  return probe_bytes(port, frame_bytes(type, payload));
 }
 
 TEST(TcpClusterTest, ListenerRejectsBadHandshakesByReason) {
@@ -549,7 +543,8 @@ TEST(TcpClusterTest, ListenerRejectsBadHandshakesByReason) {
   h.proto_version = kTcpProtoVersion + 1;
   ASSERT_TRUE(probe(port, FrameType::kHello, encode_hello(h)));
 
-  // Wrong envelope wire version.
+  // Wrong envelope wire version: a peer built with another envelope
+  // format is refused before it sends a round frame.
   h = good;
   h.wire_version ^= 1;
   ASSERT_TRUE(probe(port, FrameType::kHello, encode_hello(h)));
@@ -574,6 +569,17 @@ TEST(TcpClusterTest, ListenerRejectsBadHandshakesByReason) {
   // Malformed: garbage payload, and a non-Hello first frame.
   ASSERT_TRUE(probe(port, FrameType::kHello, {0x01, 0x02, 0x03}));
   ASSERT_TRUE(probe(port, FrameType::kRound, encode_hello(good)));
+  // Malformed: a length prefix past kTcpMaxFrameBytes, rejected from the
+  // prefix alone (no payload follows it).
+  {
+    const std::uint32_t len = kTcpMaxFrameBytes + 2;
+    ASSERT_TRUE(probe_bytes(
+        port, {static_cast<std::uint8_t>(len & 0xFF),
+               static_cast<std::uint8_t>((len >> 8) & 0xFF),
+               static_cast<std::uint8_t>((len >> 16) & 0xFF),
+               static_cast<std::uint8_t>((len >> 24) & 0xFF),
+               static_cast<std::uint8_t>(FrameType::kHello)}));
+  }
 
   ASSERT_TRUE(wait_until([&] {
     const TcpStats st = loop.node(0).stats();
@@ -585,7 +591,7 @@ TEST(TcpClusterTest, ListenerRejectsBadHandshakesByReason) {
                HandshakeReject::kRosterHash)] >= 1 &&
            st.accept_rejects[static_cast<int>(HandshakeReject::kBadId)] >= 3 &&
            st.accept_rejects[static_cast<int>(HandshakeReject::kMalformed)] >=
-               2;
+               3;
   })) << "handshake rejects not all counted";
 
   // None of this disturbed the real mesh: the run still works.

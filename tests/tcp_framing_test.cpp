@@ -1,17 +1,22 @@
 // Tests for the TCP frame codec (net/framing.h): frame wrapping, the
-// handshake payload, and the round-bundle payload under both envelope
-// wire versions — plus the fail-closed behavior every decoder must have
-// on attacker-controlled bytes (wrong magic, truncation, trailing bytes,
-// spoofed sender ids, oversized bodies).
+// handshake payload, and the round-bundle payload — plus the fail-closed
+// behavior every decoder must have on attacker-controlled bytes (wrong
+// magic, truncation, trailing bytes, spoofed sender ids, oversized
+// bodies, a foreign envelope version).
 
 #include "net/framing.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "net/msg.h"
+#include "net/peer.h"
 
 namespace dprbg {
 namespace {
@@ -97,15 +102,12 @@ std::vector<Msg> sample_msgs(int from) {
   return msgs;
 }
 
-class TcpFramingWireTest : public ::testing::TestWithParam<WireVersion> {};
-
-TEST_P(TcpFramingWireTest, RoundFrameRoundTrips) {
-  const WireVersion wire = GetParam();
+TEST(TcpFramingTest, RoundFrameRoundTrips) {
   const auto msgs = sample_msgs(/*from=*/2);
   const auto bytes =
-      encode_round_frame(/*stream=*/5, /*round=*/41, msgs, wire);
+      encode_round_frame(/*stream=*/5, /*round=*/41, msgs);
   const auto back =
-      decode_round_frame(bytes, wire, /*expected_from=*/2, /*max_body=*/64);
+      decode_round_frame(bytes, /*expected_from=*/2, /*max_body=*/64);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->stream, 5u);
   EXPECT_EQ(back->round, 41u);
@@ -118,30 +120,28 @@ TEST_P(TcpFramingWireTest, RoundFrameRoundTrips) {
   }
 }
 
-TEST_P(TcpFramingWireTest, EmptyRoundFrameIsABarrierMarker) {
-  const WireVersion wire = GetParam();
-  const auto bytes = encode_round_frame(/*stream=*/0, /*round=*/0, {}, wire);
-  const auto back = decode_round_frame(bytes, wire, 1, 64);
+TEST(TcpFramingTest, EmptyRoundFrameIsABarrierMarker) {
+  const auto bytes = encode_round_frame(/*stream=*/0, /*round=*/0, {});
+  const auto back = decode_round_frame(bytes, 1, 64);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->stream, 0u);
   EXPECT_EQ(back->round, 0u);
   EXPECT_TRUE(back->msgs.empty());
 }
 
-TEST_P(TcpFramingWireTest, RoundFrameFailsClosed) {
-  const WireVersion wire = GetParam();
+TEST(TcpFramingTest, RoundFrameFailsClosed) {
   const auto msgs = sample_msgs(/*from=*/2);
-  const auto good = encode_round_frame(5, 41, msgs, wire);
-  ASSERT_TRUE(decode_round_frame(good, wire, 2, 64).has_value());
+  const auto good = encode_round_frame(5, 41, msgs);
+  ASSERT_TRUE(decode_round_frame(good, 2, 64).has_value());
 
   // A sender id other than the handshaken peer fails the whole frame —
   // this is the spoofing gate.
-  EXPECT_FALSE(decode_round_frame(good, wire, 3, 64).has_value());
+  EXPECT_FALSE(decode_round_frame(good, 3, 64).has_value());
 
   // Truncation at every prefix length.
   for (std::size_t len = 0; len < good.size(); ++len) {
     EXPECT_FALSE(
-        decode_round_frame(std::span(good.data(), len), wire, 2, 64)
+        decode_round_frame(std::span(good.data(), len), 2, 64)
             .has_value())
         << "prefix length " << len;
   }
@@ -149,10 +149,10 @@ TEST_P(TcpFramingWireTest, RoundFrameFailsClosed) {
   // Trailing bytes.
   auto trailing = good;
   trailing.push_back(0x7F);
-  EXPECT_FALSE(decode_round_frame(trailing, wire, 2, 64).has_value());
+  EXPECT_FALSE(decode_round_frame(trailing, 2, 64).has_value());
 
   // Body larger than max_body: the 4-byte body fails a 3-byte cap.
-  EXPECT_FALSE(decode_round_frame(good, wire, 2, /*max_body=*/3).has_value());
+  EXPECT_FALSE(decode_round_frame(good, 2, /*max_body=*/3).has_value());
 
   // A count claiming more envelopes than the frame has bytes.
   {
@@ -162,29 +162,54 @@ TEST_P(TcpFramingWireTest, RoundFrameFailsClosed) {
     w.uvarint(1000);  // only a handful of bytes follow
     w.u8(0);
     const auto bytes = std::move(w).take();
-    EXPECT_FALSE(decode_round_frame(bytes, wire, 2, 64).has_value());
+    EXPECT_FALSE(decode_round_frame(bytes, 2, 64).has_value());
   }
 
-  // Decoding with the wrong wire version must not "work by accident"
-  // into the same bundle.
-  const WireVersion other =
-      wire == WireVersion::kV0 ? WireVersion::kV1 : WireVersion::kV0;
-  const auto cross = decode_round_frame(good, other, 2, 64);
-  if (cross.has_value()) {
-    bool same = cross->msgs.size() == msgs.size();
-    if (same) {
-      for (std::size_t i = 0; i < msgs.size(); ++i) {
-        same = same && cross->msgs[i].tag == msgs[i].tag &&
-               cross->msgs[i].body == msgs[i].body;
-      }
-    }
-    EXPECT_FALSE(same);
-  }
+  // An envelope whose version byte is not v1 fails the whole frame.
+  // Bytes 0..2 are the stream, round and count varints (5, 41, 2).
+  auto foreign = good;
+  ASSERT_EQ(foreign[3], kV1VersionByte);
+  foreign[3] = 0x00;
+  EXPECT_FALSE(decode_round_frame(foreign, 2, 64).has_value());
 }
 
-INSTANTIATE_TEST_SUITE_P(WireVersions, TcpFramingWireTest,
-                         ::testing::Values(WireVersion::kV0,
-                                           WireVersion::kV1));
+// The length-prefix guard: a prefix of 0 (no type byte) and one past the
+// cap are both kTooBig, decided from the 5-byte prefix alone. The byte
+// queued behind each prefix is still unread afterwards, so no payload
+// was read or allocated.
+TEST(TcpFramingTest, ReadFrameRejectsBadLengthPrefixBeforePayload) {
+  for (const std::uint64_t len :
+       {std::uint64_t{0}, std::uint64_t{kTcpMaxFrameBytes} + 2}) {
+    SCOPED_TRACE(len);
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    const std::uint8_t sentinel = 0x5A;
+    const std::uint8_t bytes[] = {
+        static_cast<std::uint8_t>(len & 0xFF),
+        static_cast<std::uint8_t>((len >> 8) & 0xFF),
+        static_cast<std::uint8_t>((len >> 16) & 0xFF),
+        static_cast<std::uint8_t>((len >> 24) & 0xFF),
+        static_cast<std::uint8_t>(FrameType::kRound),
+        sentinel};
+    ASSERT_EQ(::write(sv[1], bytes, sizeof(bytes)),
+              static_cast<ssize_t>(sizeof(bytes)));
+
+    const std::atomic<bool> stop{false};
+    FrameType type = FrameType::kHello;
+    std::vector<std::uint8_t> payload;
+    EXPECT_EQ(tcp_read_frame(sv[0], stop, /*poll_ms=*/50, kTcpMaxFrameBytes,
+                             &type, &payload, /*deadline_ms=*/1000),
+              TcpReadStatus::kTooBig);
+    EXPECT_TRUE(payload.empty());
+    EXPECT_EQ(type, FrameType::kHello);  // untouched
+
+    std::uint8_t next = 0;
+    ASSERT_EQ(::read(sv[0], &next, 1), 1);
+    EXPECT_EQ(next, sentinel);
+    ::close(sv[0]);
+    ::close(sv[1]);
+  }
+}
 
 }  // namespace
 }  // namespace dprbg

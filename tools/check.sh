@@ -38,18 +38,15 @@ if echo "$pipeline_out" | grep '"stale"' | grep -qv '"stale": 0'; then
   exit 1
 fi
 
-echo "=== [check] wide-batch kernel gate (zq_simd / block_kernels) ==="
-# The SIMD-vs-scalar differentials in both dispatch modes: once with the
-# runtime dispatcher free to pick AVX2/PCLMUL, once with
-# DPRBG_FORCE_SCALAR=1 pinning every kernel to the portable path. The
-# force-scalar rerun is what certifies the scalar fallback actually runs
-# green on this host, not just that it exists.
-./build/tests/zq_simd_test
+echo "=== [check] wide-batch kernel gate (block_kernels / PCLMUL) ==="
+# The PCLMUL-vs-software GF(2^64) differentials in both modes: once with
+# the hardware multiply where the CPU has it, once with
+# DPRBG_FORCE_SCALAR=1 pinning the software loop. The force-scalar rerun
+# is what certifies the software fallback actually runs green on this
+# host, not just that it exists.
 ./build/tests/block_kernels_test
-DPRBG_FORCE_SCALAR=1 ./build/tests/zq_simd_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/block_kernels_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/gf2_test
-DPRBG_FORCE_SCALAR=1 ./build/tests/fft_field_test
 
 echo "=== [check] wide-batch M-sweep smoke (bench/pipeline --sweep-M) ==="
 # E20 smoke: at every swept M, depth 1 must match the serial loop
@@ -66,8 +63,9 @@ if echo "$sweep_out" | grep '"stale"' | grep -qv '"stale": 0'; then
   echo "check.sh: M-sweep reported cross-batch stale deliveries" >&2
   exit 1
 fi
-# Kernel-level differential sweep (field_ops --sweep-M asserts
-# SIMD == scalar on every timed buffer and exits 1 on mismatch).
+# Kernel-level differential sweep (field_ops --sweep-M asserts every
+# kernel equals its reference loop on every timed buffer and exits 1 on
+# mismatch).
 ./build/bench/field_ops --sweep-M --smoke --json >/dev/null || {
   echo "check.sh: field_ops kernel sweep differential failed" >&2
   exit 1
@@ -113,7 +111,7 @@ echo "=== [check] beacon failover chaos suite ==="
 echo "=== [check] adversarial hardening suite (misbehavior / DoS / wire) ==="
 # The stalling-peer DoS scenario (hostage detected, scored, banned;
 # survivors bit-for-bit equal to a from-scratch run) plus the wire
-# versioning and varint codec suites in the plain build. All four run
+# format and varint codec suites in the plain build. All four run
 # again under the sanitizer matrix via ctest.
 ./build/tests/misbehavior_test
 ./build/tests/dos_stall_test
@@ -208,7 +206,8 @@ if [[ "$mode" == "full" ]]; then
   # any trap/sanitizer report is a hard failure. Under clang this is
   # coverage-guided libFuzzer; under gcc the standalone driver honors
   # the same flags.
-  for target in fuzz_varint fuzz_envelope_header fuzz_protocol_decoders; do
+  for target in fuzz_varint fuzz_envelope_header fuzz_protocol_decoders \
+      fuzz_frames; do
     corpus="fuzz/corpus/${target#fuzz_}"
     ./build-san-asan/fuzz/"$target" -max_total_time=60 -seed=1 "$corpus" || {
       echo "check.sh: fuzz smoke failed for $target" >&2

@@ -24,22 +24,25 @@
 //   --m=N           coins per batch (default 4)
 //   --batches=N     Coin-Gen batches to mint (default 2)
 //   --depth=N       pipeline depth (default 2)
-//   --wire=v0|v1    envelope wire version (default v1; all nodes must
-//                   match — the handshake rejects a mismatch)
 //   --connect-wait-ms=N  mesh bring-up timeout (default 15000)
 //   --metrics=FILE  enable telemetry; write the registry snapshot here
+//
+// --m, --batches and --depth must be positive; every numeric flag must be
+// a plain decimal number. A bad value prints the usage line and exits 1
+// before any socket is bound.
 //
 // Output: one "BEACON b=<batch> h=<coin> v=<hex16>" line per exposed
 // coin on stdout; diagnostics on stderr. Exit 0 on success, 2 when the
 // mesh never came up, 1 on any protocol failure.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "coin/coin_expose.h"
@@ -64,10 +67,21 @@ struct NodeConfig {
   unsigned m = 4;
   unsigned batches = 2;
   unsigned depth = 2;
-  WireVersion wire = WireVersion::kV1;
   unsigned connect_wait_ms = 15000;
   std::string metrics_path;
 };
+
+// Parses a whole decimal string into [lo, hi]; nullopt on junk, a sign,
+// trailing characters or overflow.
+std::optional<std::uint64_t> parse_uint(const char* v, std::uint64_t lo,
+                                        std::uint64_t hi) {
+  if (*v < '0' || *v > '9') return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long x = std::strtoull(v, &end, 10);
+  if (errno != 0 || *end != '\0' || x < lo || x > hi) return std::nullopt;
+  return x;
+}
 
 std::optional<TcpNodeAddr> parse_host_port(std::string_view s) {
   const auto colon = s.rfind(':');
@@ -75,10 +89,11 @@ std::optional<TcpNodeAddr> parse_host_port(std::string_view s) {
       colon + 1 >= s.size()) {
     return std::nullopt;
   }
-  const int port = std::atoi(std::string(s.substr(colon + 1)).c_str());
-  if (port <= 0 || port > 0xFFFF) return std::nullopt;
+  const auto port = parse_uint(std::string(s.substr(colon + 1)).c_str(), 1,
+                               0xFFFF);
+  if (!port) return std::nullopt;
   return TcpNodeAddr{std::string(s.substr(0, colon)),
-                     static_cast<std::uint16_t>(port)};
+                     static_cast<std::uint16_t>(*port)};
 }
 
 std::optional<std::vector<TcpNodeAddr>> read_roster(const std::string& path) {
@@ -106,38 +121,43 @@ std::optional<std::vector<TcpNodeAddr>> read_roster(const std::string& path) {
 }
 
 bool parse_flags(int argc, char** argv, NodeConfig* cfg) {
+  constexpr std::uint64_t kMaxInt = 0x7FFFFFFF;
+  constexpr std::uint64_t kMaxU64 = ~std::uint64_t{0};
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     const auto val = [&](std::string_view prefix) -> const char* {
       return arg.rfind(prefix, 0) == 0 ? argv[i] + prefix.size() : nullptr;
     };
+    // Numeric flag: parse into `*out`, or reject the whole command line.
+    const auto num = [&](const char* v, std::uint64_t lo, std::uint64_t hi,
+                         auto* out) {
+      const auto x = parse_uint(v, lo, hi);
+      if (!x) {
+        std::fprintf(stderr, "dprbg_node: bad value: %s\n", argv[i]);
+        return false;
+      }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(*x);
+      return true;
+    };
+    bool good = true;
     if (const char* v = val("--roster=")) {
       cfg->roster_path = v;
     } else if (const char* v = val("--id=")) {
-      cfg->id = std::atoi(v);
+      good = num(v, 0, kMaxInt, &cfg->id);
     } else if (const char* v = val("--listen=")) {
       cfg->listen_override = v;
     } else if (const char* v = val("--t=")) {
-      cfg->t = std::atoi(v);
+      good = num(v, 0, kMaxInt, &cfg->t);
     } else if (const char* v = val("--seed=")) {
-      cfg->seed = std::strtoull(v, nullptr, 10);
+      good = num(v, 0, kMaxU64, &cfg->seed);
     } else if (const char* v = val("--m=")) {
-      cfg->m = static_cast<unsigned>(std::atoi(v));
+      good = num(v, 1, kMaxInt, &cfg->m);
     } else if (const char* v = val("--batches=")) {
-      cfg->batches = static_cast<unsigned>(std::atoi(v));
+      good = num(v, 1, kMaxInt, &cfg->batches);
     } else if (const char* v = val("--depth=")) {
-      cfg->depth = static_cast<unsigned>(std::atoi(v));
-    } else if (const char* v = val("--wire=")) {
-      if (std::strcmp(v, "v0") == 0) {
-        cfg->wire = WireVersion::kV0;
-      } else if (std::strcmp(v, "v1") == 0) {
-        cfg->wire = WireVersion::kV1;
-      } else {
-        std::fprintf(stderr, "dprbg_node: --wire must be v0 or v1\n");
-        return false;
-      }
+      good = num(v, 1, kMaxInt, &cfg->depth);
     } else if (const char* v = val("--connect-wait-ms=")) {
-      cfg->connect_wait_ms = static_cast<unsigned>(std::atoi(v));
+      good = num(v, 0, kMaxInt, &cfg->connect_wait_ms);
     } else if (const char* v = val("--metrics=")) {
       cfg->metrics_path = v;
     } else {
@@ -145,6 +165,7 @@ bool parse_flags(int argc, char** argv, NodeConfig* cfg) {
                    std::string(arg).c_str());
       return false;
     }
+    if (!good) return false;
   }
   return !cfg->roster_path.empty() && cfg->id >= 0;
 }
@@ -159,7 +180,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: dprbg_node --roster=FILE --id=N [--listen=H:P] "
                  "[--t=N] [--seed=N] [--m=N] [--batches=N] [--depth=N] "
-                 "[--wire=v0|v1] [--connect-wait-ms=N] [--metrics=FILE]\n");
+                 "[--connect-wait-ms=N] [--metrics=FILE]\n");
     return 1;
   }
   const auto roster = read_roster(cfg.roster_path);
@@ -175,20 +196,21 @@ int main(int argc, char** argv) {
                  cfg.id, t, n);
     return 1;
   }
-  set_wire_version(cfg.wire);
   if (!cfg.metrics_path.empty()) set_telemetry_enabled(true);
 
   TcpClusterOptions opts;
   opts.start_timeout_ms = cfg.connect_wait_ms;
+  TcpNodeAddr bind_addr = (*roster)[static_cast<std::size_t>(cfg.id)];
   if (!cfg.listen_override.empty()) {
-    const auto bind_addr = parse_host_port(cfg.listen_override);
-    if (!bind_addr) {
+    const auto over = parse_host_port(cfg.listen_override);
+    if (!over) {
       std::fprintf(stderr, "dprbg_node: bad --listen=%s\n",
                    cfg.listen_override.c_str());
       return 1;
     }
+    bind_addr = *over;
     std::string err;
-    opts.listen_fd = tcp_listen_socket(bind_addr->host, bind_addr->port, &err);
+    opts.listen_fd = tcp_listen_socket(bind_addr.host, bind_addr.port, &err);
     if (opts.listen_fd < 0) {
       std::fprintf(stderr, "dprbg_node: %s\n", err.c_str());
       return 1;
@@ -196,8 +218,9 @@ int main(int argc, char** argv) {
   }
 
   TcpCluster node(cfg.id, n, t, cfg.seed, *roster, opts);
-  std::fprintf(stderr, "dprbg_node: id=%d n=%d t=%d listening on :%u...\n",
-               cfg.id, n, t, 0u);
+  std::fprintf(stderr, "dprbg_node: id=%d n=%d t=%d listening on %s:%u...\n",
+               cfg.id, n, t, bind_addr.host.c_str(),
+               static_cast<unsigned>(bind_addr.port));
   if (!node.start()) {
     const TcpStats st = node.stats();
     std::fprintf(stderr,
