@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <type_traits>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -33,6 +34,19 @@ inline void parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--json") json_mode_ref() = true;
   }
+}
+
+// The CPU model from /proc/cpuinfo ("unknown" where there is none), for
+// the host-facts context of throughput tables: the same bench gives
+// different rates on different hosts, so rows must say where they ran.
+inline std::string cpu_model() {
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      return line.substr(line.find(':') + 2);
+    }
+  }
+  return "unknown";
 }
 
 inline void json_escape_to(std::string& out, const std::string& s) {

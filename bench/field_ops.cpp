@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -251,6 +252,8 @@ int run_kernel_sweep(bool smoke) {
     Table t({"M", "soft_ns", "hw_ns", "speedup", "match"});
     t.context("table", "gf2_64_mul");
     t.context("clmul_hw", gf2_detail::clmul_hw ? "1" : "0");
+    t.context("nproc", fmt(std::thread::hardware_concurrency()));
+    t.context("cpu", cpu_model());
     const std::uint64_t mod = gf2_detail::modulus<64>();
     for (const std::size_t m : ms) {
       const int reps = static_cast<int>(

@@ -36,6 +36,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -290,6 +291,8 @@ int main(int argc, char** argv) {
     table.context("rtt_us", fmt(rtt_us));
     table.context("batches", fmt(sweep_batches));
     table.context("clmul_hw", gf2_detail::clmul_hw ? "1" : "0");
+    table.context("nproc", fmt(std::thread::hardware_concurrency()));
+    table.context("cpu", cpu_model());
     bool clean = true;
     for (const unsigned m : ms) {
       const RunStats serial = run_serial_reference(sweep_batches, rtt_us, m);

@@ -142,7 +142,7 @@ BitGenView<F> bit_gen_single(Io& io, int dealer, unsigned m_total,
       for (int i = 0; i < n; ++i) {
         eval_polys_block<F>(dealer_polys, eval_point<F>(i), vals);
         ByteWriter w(m_total * F::kBytes);
-        for (const F& v : vals) write_elem(w, v);
+        write_elem_row<F>(w, vals);
         io.send(i, row_tag, std::move(w).take());
       }
     }
@@ -224,7 +224,7 @@ BitGenAllOutcome<F> bit_gen_all(Io& io,
     for (int i = 0; i < n; ++i) {
       eval_polys_block<F>(my_polys, eval_point<F>(i), vals);
       ByteWriter w(m_total * F::kBytes);
-      for (const F& v : vals) write_elem(w, v);
+      write_elem_row<F>(w, vals);
       io.send(i, row_tag, std::move(w).take());
     }
   }

@@ -36,11 +36,19 @@ struct FieldCounters {
   }
 };
 
-// Access the calling thread's counters.
-FieldCounters& field_counters() noexcept;
+namespace metrics_detail {
+// Constant-initialised and trivially destructible, so an access is a
+// plain TLS-relative address: no init guard, no wrapper call.
+inline constinit thread_local FieldCounters field_counters_tls{};
+}  // namespace metrics_detail
 
-// Convenience hooks used by the field implementations. Kept out-of-line
-// cheap: a thread_local increment.
+// Access the calling thread's counters.
+inline FieldCounters& field_counters() noexcept {
+  return metrics_detail::field_counters_tls;
+}
+
+// Convenience hooks used by the field implementations: each is one
+// inline thread_local increment, charged on every add or mul.
 inline void count_add() noexcept { ++field_counters().adds; }
 inline void count_mul() noexcept { ++field_counters().muls; }
 inline void count_inv() noexcept { ++field_counters().invs; }

@@ -11,11 +11,31 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/varint.h"
 
 namespace dprbg {
+
+// Little-endian store/load of the low N bytes of a u64 (1 <= N <= 8).
+// Portable byte shifts with no endian fork, unrolled at compile time so
+// the compiler merges them into one store or load (for N = 8, one mov).
+template <unsigned N>
+inline void store_le(std::uint8_t* p, std::uint64_t v) noexcept {
+  static_assert(N >= 1 && N <= 8);
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    ((p[I] = static_cast<std::uint8_t>(v >> (8 * I))), ...);
+  }(std::make_index_sequence<N>{});
+}
+
+template <unsigned N>
+[[nodiscard]] inline std::uint64_t load_le(const std::uint8_t* p) noexcept {
+  static_assert(N >= 1 && N <= 8);
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return ((std::uint64_t{p[I]} << (8 * I)) | ...);
+  }(std::make_index_sequence<N>{});
+}
 
 // Append-only little-endian byte writer.
 class ByteWriter {
@@ -29,9 +49,26 @@ class ByteWriter {
   }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { put_le(v); }
-  void u32(std::uint32_t v) { put_le(v); }
-  void u64(std::uint64_t v) { put_le(v); }
+  void u16(std::uint16_t v) { le<2>(v); }
+  void u32(std::uint32_t v) { le<4>(v); }
+  void u64(std::uint64_t v) { le<8>(v); }
+
+  // The low N bytes of `v`, little-endian, as one append.
+  template <unsigned N>
+  void le(std::uint64_t v) {
+    std::uint8_t b[N]{};
+    store_le<N>(b, v);
+    buf_.insert(buf_.end(), b, b + N);
+  }
+
+  // Grows the buffer by `n` bytes and returns where they start, for bulk
+  // encoders that fill a whole row after one size update. The pointer is
+  // valid until the next append.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
 
   void bytes(std::span<const std::uint8_t> b) {
     buf_.insert(buf_.end(), b.begin(), b.end());
@@ -53,13 +90,6 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
-  template <typename T>
-  void put_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-
   std::vector<std::uint8_t> buf_;
 };
 
@@ -70,10 +100,24 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8() { return get_le<std::uint8_t>(); }
-  std::uint16_t u16() { return get_le<std::uint16_t>(); }
-  std::uint32_t u32() { return get_le<std::uint32_t>(); }
-  std::uint64_t u64() { return get_le<std::uint64_t>(); }
+  std::uint8_t u8() { return static_cast<std::uint8_t>(le<1>()); }
+  std::uint16_t u16() { return static_cast<std::uint16_t>(le<2>()); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(le<4>()); }
+  std::uint64_t u64() { return le<8>(); }
+
+  // The next N bytes as a little-endian integer: one bounds check, one
+  // load. A short buffer fails the reader and returns 0.
+  template <unsigned N>
+  std::uint64_t le() {
+    if (N > remaining()) {
+      ok_ = false;
+      pos_ = data_.size();
+      return 0;
+    }
+    const std::uint64_t v = load_le<N>(data_.data() + pos_);
+    pos_ += N;
+    return v;
+  }
 
   // Reads a length-prefixed u64 vector; rejects absurd lengths so a
   // Byzantine sender cannot force a huge allocation.
@@ -126,21 +170,6 @@ class ByteReader {
   [[nodiscard]] bool done() const { return ok_ && pos_ == data_.size(); }
 
  private:
-  template <typename T>
-  T get_le() {
-    if (pos_ + sizeof(T) > data_.size()) {
-      ok_ = false;
-      pos_ = data_.size();
-      return T{0};
-    }
-    T v{0};
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
-    }
-    pos_ += sizeof(T);
-    return v;
-  }
-
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
   bool ok_ = true;

@@ -232,7 +232,7 @@ ReshareResult<F> cross_roster_reshare(Io& io, int n_old, unsigned t_new,
       for (int j = 0; j < n_new; ++j) {
         eval_polys_block<F>(polys, eval_point<F>(j), vals);
         ByteWriter w(m_total * F::kBytes);
-        for (const F& v : vals) write_elem(w, v);
+        write_elem_row<F>(w, vals);
         io.send(n_old + j, row_tag, std::move(w).take());
       }
     }

@@ -2,7 +2,8 @@
 // discusses in Section 2:
 //
 //  * naive shift-and-XOR ("naive multiplication in a field of size 2^k
-//    takes O(k^2) steps"), used for m > 16, and
+//    takes O(k^2) steps"), used for m > 16 when the CPU has no PCLMUL
+//    (gf2_clmul.h multiplies in hardware otherwise), and
 //  * log/antilog tables for m <= 16, which is the regime where the paper
 //    notes that "when k is small, working over GF(2^k) with the naive
 //    O(k^2) multiplication is faster than working over our special field".
@@ -208,13 +209,14 @@ class GF2 {
   // Raw multiply without metric accounting (used inside inv/pow so the
   // counters reflect protocol-level operations, not micro-steps).
   static std::uint64_t mul_raw(std::uint64_t a, std::uint64_t b) {
-    if (a == 0 || b == 0) return 0;
     if constexpr (M <= 16) {
+      if (a == 0 || b == 0) return 0;  // zero has no logarithm
       const auto& t = gf2_detail::log_tables<M>();
       return t.exp[t.log[a] + t.log[b]];
     } else {
       // Hardware PCLMUL when available (gf2_clmul.h); bit-for-bit the
-      // same canonical remainder as the software loop, ~20x faster.
+      // same canonical remainder as the software loop, and tens of times
+      // faster (EXPERIMENTS.md E20 measures the ratio).
       if (gf2_detail::clmul_hw) {
         return gf2_detail::clmul_hw_mul(a, b, M, gf2_detail::modulus<M>());
       }

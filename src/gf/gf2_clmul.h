@@ -5,7 +5,10 @@
 // operation of every wide-batch protocol run (Horner combinations touch
 // O(n*M) of them per round). On x86 the PCLMULQDQ instruction computes
 // the 128-bit carry-less product in one instruction; reduction modulo the
-// low-weight field polynomial folds the high bits down in <= 3 passes.
+// low-weight field polynomial is a fixed sequence of two folds (two more
+// PCLMULs), which reaches the canonical remainder whenever
+// 2*deg(mod) < m — true of every tabulated m > 16 (the proof and the
+// static_asserts sit next to the kernel in gf2_clmul.cpp).
 //
 // The result is the canonical remainder mod f = x^m + tail, bit-for-bit
 // identical to clmul_reduce<M> (remainders of degree < m are unique), so
@@ -30,8 +33,9 @@ namespace dprbg::gf2_detail {
 
 inline const bool clmul_hw = clmul_hw_probe();
 
-// (a * b) mod (x^m + mod) with deg a, deg b < m and 16 < m <= 64.
-// Canonical result (degree < m). Call only when clmul_hw is true.
+// (a * b) mod (x^m + mod) with deg a, deg b < m, 16 < m <= 64 and
+// 2*deg(mod) < m. Canonical result (degree < m), with no data-dependent
+// branch. Call only when clmul_hw is true.
 [[nodiscard]] std::uint64_t clmul_hw_mul(std::uint64_t a, std::uint64_t b,
                                          unsigned m, std::uint64_t mod);
 

@@ -7,16 +7,23 @@ namespace dprbg {
 
 namespace {
 
-inline void quarter_round(std::uint32_t& a, std::uint32_t& b,
-                          std::uint32_t& c, std::uint32_t& d) noexcept {
-  a += b;
-  d = std::rotl(d ^ a, 16);
-  c += d;
-  b = std::rotl(b ^ c, 12);
-  a += b;
-  d = std::rotl(d ^ a, 8);
-  c += d;
-  b = std::rotl(b ^ c, 7);
+// Lane-major working state: word w of block j lives at x[w][j], so each
+// quarter-round step is one 4-wide operation the compiler can vectorise
+// with whatever the target ISA offers, from one portable loop.
+constexpr unsigned kLanes = 4;
+using Lanes = std::array<std::uint32_t, kLanes>;
+
+inline void quarter_round(Lanes& a, Lanes& b, Lanes& c, Lanes& d) noexcept {
+  for (unsigned j = 0; j < kLanes; ++j) {
+    a[j] += b[j];
+    d[j] = std::rotl(d[j] ^ a[j], 16);
+    c[j] += d[j];
+    b[j] = std::rotl(b[j] ^ c[j], 12);
+    a[j] += b[j];
+    d[j] = std::rotl(d[j] ^ a[j], 8);
+    c[j] += d[j];
+    b[j] = std::rotl(b[j] ^ c[j], 7);
+  }
 }
 
 }  // namespace
@@ -47,26 +54,43 @@ Chacha::Chacha(std::uint64_t seed, std::uint64_t stream) noexcept {
 }
 
 void Chacha::refill() noexcept {
-  block_ = state_;
-  for (int round = 0; round < 10; ++round) {  // 20 rounds: 10 double-rounds
-    quarter_round(block_[0], block_[4], block_[8], block_[12]);
-    quarter_round(block_[1], block_[5], block_[9], block_[13]);
-    quarter_round(block_[2], block_[6], block_[10], block_[14]);
-    quarter_round(block_[3], block_[7], block_[11], block_[15]);
-    quarter_round(block_[0], block_[5], block_[10], block_[15]);
-    quarter_round(block_[1], block_[6], block_[11], block_[12]);
-    quarter_round(block_[2], block_[7], block_[8], block_[13]);
-    quarter_round(block_[3], block_[4], block_[9], block_[14]);
+  static_assert(kBlocks == kLanes);
+  // Lane j runs counter + j; everything else is the shared state.
+  std::array<Lanes, 16> init{};
+  for (unsigned w = 0; w < 16; ++w) init[w].fill(state_[w]);
+  const std::uint64_t counter =
+      std::uint64_t{state_[12]} | (std::uint64_t{state_[13]} << 32);
+  for (unsigned j = 0; j < kLanes; ++j) {
+    init[12][j] = static_cast<std::uint32_t>(counter + j);
+    init[13][j] = static_cast<std::uint32_t>((counter + j) >> 32);
   }
-  for (int i = 0; i < 16; ++i) block_[i] += state_[i];
+  std::array<Lanes, 16> x = init;
+  for (int round = 0; round < 10; ++round) {  // 20 rounds: 10 double-rounds
+    quarter_round(x[0], x[4], x[8], x[12]);
+    quarter_round(x[1], x[5], x[9], x[13]);
+    quarter_round(x[2], x[6], x[10], x[14]);
+    quarter_round(x[3], x[7], x[11], x[15]);
+    quarter_round(x[0], x[5], x[10], x[15]);
+    quarter_round(x[1], x[6], x[11], x[12]);
+    quarter_round(x[2], x[7], x[8], x[13]);
+    quarter_round(x[3], x[4], x[9], x[14]);
+  }
+  // Transpose back to block-major: block j is words [16j, 16j + 16).
+  for (unsigned w = 0; w < 16; ++w) {
+    for (unsigned j = 0; j < kLanes; ++j) {
+      buf_[16 * j + w] = x[w][j] + init[w][j];
+    }
+  }
   // 64-bit block counter.
-  if (++state_[12] == 0) ++state_[13];
+  const std::uint64_t next = counter + kBlocks;
+  state_[12] = static_cast<std::uint32_t>(next);
+  state_[13] = static_cast<std::uint32_t>(next >> 32);
   pos_ = 0;
 }
 
 std::uint32_t Chacha::next_u32() noexcept {
-  if (pos_ >= 16) refill();
-  return block_[pos_++];
+  if (pos_ >= kWords) refill();
+  return buf_[pos_++];
 }
 
 std::uint64_t Chacha::next_u64() noexcept {

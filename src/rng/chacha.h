@@ -7,6 +7,11 @@
 // trivially seekable, and — crucially for a reproduction — fully
 // deterministic under a fixed seed, so every experiment in this repo can
 // be replayed bit-for-bit.
+//
+// Each refill computes kBlocks consecutive counter blocks at once, laid
+// out in counter order, so the stream is word-for-word the one-block-at-
+// a-time stream (tests/golden_test.cpp pins literal words across the
+// block and refill boundaries).
 
 #pragma once
 
@@ -37,11 +42,15 @@ class Chacha {
   result_type operator()() noexcept { return next_u64(); }
 
  private:
+  static constexpr unsigned kBlocks = 4;
+  static constexpr unsigned kWords = 16 * kBlocks;
+
   void refill() noexcept;
 
+  // Words 12-13 hold the counter of the next block to compute.
   std::array<std::uint32_t, 16> state_{};
-  std::array<std::uint32_t, 16> block_{};
-  unsigned pos_ = 16;  // next word in block_; 16 = empty
+  std::array<std::uint32_t, kWords> buf_{};  // kBlocks blocks, in order
+  unsigned pos_ = kWords;  // next word in buf_; kWords = empty
 };
 
 // Uniform field element (all bit patterns of GF(2^m) are valid elements).

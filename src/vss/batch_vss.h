@@ -88,7 +88,7 @@ BatchVssOutcome<F> batch_vss(
       for (int i = 0; i < n; ++i) {
         eval_polys_block<F>(dealer_polys, eval_point<F>(i), vals);
         ByteWriter w(expected_m * F::kBytes);
-        for (const F& v : vals) write_elem(w, v);
+        write_elem_row<F>(w, vals);
         io.send(i, share_tag, std::move(w).take());
       }
     }

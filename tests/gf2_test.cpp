@@ -179,6 +179,39 @@ TEST(Gf2ClmulHwTest, M48) { clmul_hw_differential<48>(48); }
 TEST(Gf2ClmulHwTest, M56) { clmul_hw_differential<56>(56); }
 TEST(Gf2ClmulHwTest, M64) { clmul_hw_differential<64>(64); }
 
+// The operands that drive the two-fold reduction hardest: all-ones
+// squared has the highest-degree overflow H (deg 2m-2), and x^(m-1)
+// puts the single top bit through both folds. Checked through the field
+// operator (whichever path clmul_hw selects) and, where PCLMUL runs,
+// through the kernel directly; both must equal the software loop.
+template <unsigned M>
+void fold_boundaries() {
+  const std::uint64_t ones = GF2<M>::kMask;
+  const std::uint64_t top = std::uint64_t{1} << (M - 1);
+  const std::pair<std::uint64_t, std::uint64_t> cases[] = {
+      {ones, ones}, {top, top}, {top, ones}, {1, ones}};
+  for (const auto& [a, b] : cases) {
+    const std::uint64_t want = gf2_detail::clmul_reduce<M>(a, b);
+    EXPECT_EQ((GF2<M>::from_uint(a) * GF2<M>::from_uint(b)).to_uint(), want)
+        << "M=" << M << " a=" << a << " b=" << b;
+    EXPECT_EQ((GF2<M>::from_uint(b) * GF2<M>::from_uint(a)).to_uint(), want)
+        << "M=" << M << " a=" << a << " b=" << b;
+    if (gf2_detail::clmul_hw) {
+      EXPECT_EQ(gf2_detail::clmul_hw_mul(a, b, M, gf2_detail::modulus<M>()),
+                want)
+          << "M=" << M << " a=" << a << " b=" << b;
+    }
+  }
+  EXPECT_EQ(gf2_detail::clmul_reduce<M>(1, ones), ones);
+}
+
+TEST(Gf2FoldBoundaryTest, M24) { fold_boundaries<24>(); }
+TEST(Gf2FoldBoundaryTest, M32) { fold_boundaries<32>(); }
+TEST(Gf2FoldBoundaryTest, M40) { fold_boundaries<40>(); }
+TEST(Gf2FoldBoundaryTest, M48) { fold_boundaries<48>(); }
+TEST(Gf2FoldBoundaryTest, M56) { fold_boundaries<56>(); }
+TEST(Gf2FoldBoundaryTest, M64) { fold_boundaries<64>(); }
+
 TEST(Gf2MetricsTest, OperationsAreCounted) {
   const FieldCounters before = field_counters();
   const auto a = GF2_64::from_uint(123);

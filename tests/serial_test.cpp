@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "common/serial.h"
@@ -115,6 +116,83 @@ TEST(FieldIoTest, TruncatedElementFails) {
   ByteReader r(bytes);
   (void)read_elem<GF2_64>(r);
   EXPECT_FALSE(r.ok());
+}
+
+// The bulk row codecs against the per-element ones, for every width the
+// tree uses plus GF2<4> (masked high bits), GF2<24> and GF2<40>
+// (kBytes 3 and 5, not a machine word).
+template <typename F>
+class RowCodecTest : public ::testing::Test {};
+
+using RowCodecTypes = ::testing::Types<GF2<4>, GF2_8, GF2_16, GF2<24>,
+                                       GF2_32, GF2<40>, GF2_64>;
+TYPED_TEST_SUITE(RowCodecTest, RowCodecTypes);
+
+TYPED_TEST(RowCodecTest, WriteRowMatchesElementLoop) {
+  using F = TypeParam;
+  Chacha rng(3);
+  for (std::size_t len : {0u, 1u, 7u, 33u}) {
+    std::vector<F> row;
+    for (std::size_t i = 0; i < len; ++i) {
+      row.push_back(random_element<F>(rng));
+    }
+    // A leading byte so the row starts at an unaligned offset.
+    ByteWriter bulk, loop;
+    bulk.u8(0x5A);
+    loop.u8(0x5A);
+    write_elem_row<F>(bulk, row);
+    for (const F& e : row) write_elem(loop, e);
+    EXPECT_EQ(bulk.data(), loop.data()) << "len " << len;
+    EXPECT_EQ(bulk.size(), 1 + len * F::kBytes);
+  }
+}
+
+TYPED_TEST(RowCodecTest, DecodeRowMatchesReadLoop) {
+  using F = TypeParam;
+  Chacha rng(4);
+  for (std::size_t count : {1u, 5u, 64u}) {
+    // Arbitrary bytes, so the top byte carries bits above kBits whenever
+    // the width is not a whole number of bytes.
+    std::vector<std::uint8_t> bytes(count * F::kBytes);
+    rng.fill_bytes(bytes);
+    const auto row = decode_elem_row<F>(bytes, count);
+    ASSERT_TRUE(row.has_value());
+    ASSERT_EQ(row->size(), count);
+    ByteReader r(bytes);
+    for (std::size_t i = 0; i < count; ++i) {
+      const F e = read_elem<F>(r);
+      EXPECT_EQ((*row)[i], e) << "elem " << i;
+      EXPECT_EQ(e.to_uint() & ~F::kMask, 0u);
+    }
+    EXPECT_TRUE(r.done());
+  }
+}
+
+TYPED_TEST(RowCodecTest, WrongLengthRowIsRejected) {
+  using F = TypeParam;
+  const std::size_t four = 4 * F::kBytes;
+  const std::vector<std::uint8_t> bytes(four + 1, 0xFF);
+  const std::span<const std::uint8_t> all(bytes);
+  EXPECT_FALSE(decode_elem_row<F>(all, 4).has_value());
+  EXPECT_FALSE(decode_elem_row<F>(all.first(four - 1), 4).has_value());
+  EXPECT_FALSE(decode_elem_row<F>(all.first(four - F::kBytes), 4)
+                   .has_value());
+  EXPECT_FALSE(decode_elem_row<F>(all.first(0), 1).has_value());
+  const auto empty = decode_elem_row<F>(all.first(0), 0);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->empty());
+}
+
+TYPED_TEST(RowCodecTest, TruncatedReadFailsAndReturnsZero) {
+  using F = TypeParam;
+  const std::vector<std::uint8_t> bytes(F::kBytes, 0xFF);
+  for (std::size_t have = 0; have < F::kBytes; ++have) {
+    ByteReader r(std::span<const std::uint8_t>(bytes).first(have));
+    EXPECT_TRUE(read_elem<F>(r).is_zero()) << "have " << have;
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(read_elem<F>(r).is_zero());  // stays failed
+    EXPECT_FALSE(r.ok());
+  }
 }
 
 }  // namespace

@@ -117,8 +117,8 @@ TEST(VarintTest, OverlongEncodingsRejected) {
     append_varint(enc, v);
     if (enc.size() >= kMaxVarintBytes) continue;
     std::vector<std::uint8_t> overlong = enc;
-    overlong.back() |= 0x80u;  // turn the final group into a continuation
-    overlong.push_back(0x00);  // ... followed by an empty group
+    overlong.resize(enc.size() + 1);    // an empty group appended ...
+    overlong[enc.size() - 1] |= 0x80u;  // ... after a continuation
     EXPECT_FALSE(read_varint(overlong).ok) << "value " << v;
   }
   // Classic two-byte zero.
@@ -150,7 +150,9 @@ TEST(VarintTest, TwoByteSpaceExhaustive) {
     const std::uint8_t byte0 = static_cast<std::uint8_t>(b0);
     const VarintDecode one = read_varint(std::vector<std::uint8_t>{byte0});
     EXPECT_EQ(one.ok, (b0 & 0x80u) == 0);
-    if (one.ok) EXPECT_EQ(one.value, b0 & 0x7Fu);
+    if (one.ok) {
+      EXPECT_EQ(one.value, b0 & 0x7Fu);
+    }
     for (unsigned b1 = 0; b1 < 256; ++b1) {
       const std::vector<std::uint8_t> in{byte0,
                                          static_cast<std::uint8_t>(b1)};

@@ -43,10 +43,13 @@ echo "=== [check] wide-batch kernel gate (block_kernels / PCLMUL) ==="
 # the hardware multiply where the CPU has it, once with
 # DPRBG_FORCE_SCALAR=1 pinning the software loop. The force-scalar rerun
 # is what certifies the software fallback actually runs green on this
-# host, not just that it exists.
+# host, not just that it exists. golden_test pins the ChaCha stream and
+# a GF2_64 Coin-Gen digest, so the software multiply must reproduce the
+# same coins bit for bit.
 ./build/tests/block_kernels_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/block_kernels_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/gf2_test
+DPRBG_FORCE_SCALAR=1 ./build/tests/golden_test
 
 echo "=== [check] wide-batch M-sweep smoke (bench/pipeline --sweep-M) ==="
 # E20 smoke: at every swept M, depth 1 must match the serial loop
