@@ -159,7 +159,6 @@ bool run_metrics_gate(const std::string& path, unsigned batches,
       random_fault_plan(params, kSeed + 7));
 
   const auto out = beacon.run();
-  beacon.cluster().publish_comm_telemetry();
   const MetricsSnapshot snap = metrics().snapshot();
   const BeaconStatus status = beacon.status();
   tracer().set_enabled(false);

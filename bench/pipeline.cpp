@@ -152,7 +152,6 @@ bool run_metrics_gate(const std::string& path, unsigned batches,
     opts.depth = 4;
     results[io.id()] = pipelined_coin_gen<F>(io, kM, pool, batches, opts);
   }));
-  cluster.publish_comm_telemetry();
   const MetricsSnapshot snap = metrics().snapshot();
   set_telemetry_enabled(false);
 

@@ -94,6 +94,16 @@ inline const char* to_string(EvictionReason r) {
   return "?";
 }
 
+// Beacon failover totals, kept by the HealthBoard: committee health
+// transitions and degraded-mode output accounting for one beacon run.
+struct HealthCounters {
+  std::uint64_t lagging_transitions = 0;  // live -> lagging flips
+  std::uint64_t evictions = 0;            // committees dropped for good
+  std::uint64_t cancelled_batches = 0;    // launch gates closed
+  std::uint64_t degraded_windows = 0;     // emitted windows missing a live
+                                          // committee's contribution
+};
+
 struct FailoverPolicy {
   // Master switch: disabled = every gate is open and no eviction ever
   // happens (bit-for-bit the pre-failover beacon).
@@ -154,7 +164,9 @@ struct BeaconChaos {
 // by every member thread (launch/exposure gates), the wall-clock monitor
 // and the combine step. All state is guarded by one mutex; gates are
 // latched (see header comment) so concurrent readers of the same gate
-// always agree.
+// always agree. Its telemetry is one snapshot-time view of that ledger
+// (beacon_committee_health{committee}, beacon_evictions_total{reason},
+// beacon_{lagging,cancelled_batches,degraded_windows}_total).
 class HealthBoard {
  public:
   using Clock = std::chrono::steady_clock;
@@ -163,17 +175,11 @@ class HealthBoard {
   using ScoreFn = std::function<std::uint64_t(unsigned)>;
 
   HealthBoard(unsigned committees, unsigned batches, FailoverPolicy policy)
-      : policy_(policy), batches_(batches) {
+      : policy_(policy), batches_(batches), states_(committees) {
     DPRBG_CHECK(committees >= 1);
     DPRBG_CHECK(policy_.min_live >= 1);
-    states_.resize(committees);
     const auto now = Clock::now();
     for (auto& s : states_) s.last_progress = now;
-    // Seed the health gauges so a snapshot taken before any transition
-    // already lists every committee as live.
-    for (unsigned c = 0; c < committees; ++c) {
-      tel_health(c, CommitteeHealth::kLive);
-    }
   }
 
   HealthBoard(const HealthBoard&) = delete;
@@ -199,12 +205,7 @@ class HealthBoard {
     const bool open = !policy_.enabled ||
                       s.health != CommitteeHealth::kEvicted ||
                       b < s.evicted_at;
-    if (!open) {
-      ++counters_.cancelled_batches;
-      if (telemetry_enabled()) {
-        metrics().counter("beacon_cancelled_batches_total").add(1);
-      }
-    }
+    if (!open) ++counters_.cancelled_batches;
     s.gates.emplace(b, open);
     return open;
   }
@@ -246,7 +247,6 @@ class HealthBoard {
     s.last_progress = Clock::now();
     if (s.health == CommitteeHealth::kLagging) {
       s.health = CommitteeHealth::kLive;
-      tel_health(c, CommitteeHealth::kLive);
       trace_beacon("health", c, "state=live batch=" + std::to_string(b));
     }
   }
@@ -268,10 +268,6 @@ class HealthBoard {
     if (s.health != CommitteeHealth::kLive) return;
     s.health = CommitteeHealth::kLagging;
     ++counters_.lagging_transitions;
-    tel_health(c, CommitteeHealth::kLagging);
-    if (telemetry_enabled()) {
-      metrics().counter("beacon_lagging_total").add(1);
-    }
     trace_beacon("health", c, "state=lagging");
   }
 
@@ -280,9 +276,6 @@ class HealthBoard {
   void note_degraded_window() {
     std::lock_guard lk(mu_);
     ++counters_.degraded_windows;
-    if (telemetry_enabled()) {
-      metrics().counter("beacon_degraded_windows_total").add(1);
-    }
   }
 
   [[nodiscard]] CommitteeHealth health(unsigned c) const {
@@ -362,26 +355,34 @@ class HealthBoard {
     // launch gates ignore it, so the exposure gate must stay open too.
     if (policy_.enabled && !s.expose.has_value()) s.expose = false;
     ++counters_.evictions;
-    tel_health(c, CommitteeHealth::kEvicted);
-    if (telemetry_enabled()) {
-      metrics().counter("beacon_evictions_total",
-                        std::string("reason=") + to_string(reason))
-          .add(1);
-    }
     trace_beacon("evict", c,
                  std::string("reason=") + to_string(reason) +
                      " batch=" + std::to_string(from_batch));
     return true;
   }
 
-  // Health-state gauge, one per committee, value = enum (0 live,
-  // 1 lagging, 2 evicted). Transitions are rare, so the registry lookup
-  // per call is fine; no registry mutation while telemetry is disabled.
-  static void tel_health(unsigned c, CommitteeHealth h) {
-    if (!telemetry_enabled()) return;
-    metrics()
-        .gauge("beacon_committee_health", "committee=" + std::to_string(c))
-        .set(static_cast<std::int64_t>(h));
+  // The telemetry view: one health gauge per committee (0 live,
+  // 1 lagging, 2 evicted), evictions by reason — a committee is evicted
+  // at most once, so counting evicted states counts evictions — and the
+  // failover counters.
+  void collect(ViewSink& sink) const {
+    std::lock_guard lk(mu_);
+    std::map<EvictionReason, std::uint64_t> evictions;
+    for (unsigned c = 0; c < states_.size(); ++c) {
+      const State& s = states_[c];
+      sink.gauge("beacon_committee_health", "committee=" + std::to_string(c),
+                 static_cast<std::int64_t>(s.health));
+      if (s.health == CommitteeHealth::kEvicted) ++evictions[s.reason];
+    }
+    for (const auto& [reason, count] : evictions) {
+      sink.counter("beacon_evictions_total",
+                   std::string("reason=") + to_string(reason), count);
+    }
+    sink.counter("beacon_lagging_total", {}, counters_.lagging_transitions);
+    sink.counter("beacon_cancelled_batches_total", {},
+                 counters_.cancelled_batches);
+    sink.counter("beacon_degraded_windows_total", {},
+                 counters_.degraded_windows);
   }
 
   const FailoverPolicy policy_;
@@ -390,6 +391,8 @@ class HealthBoard {
   std::vector<State> states_;
   ScoreFn score_fn_;
   HealthCounters counters_;
+  CollectorHandle collector_ =
+      metrics().add_collector([this](ViewSink& sink) { collect(sink); });
 };
 
 // Wall-clock watchdog: a background thread that marks committees lagging

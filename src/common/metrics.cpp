@@ -25,12 +25,4 @@ std::string to_string(const FaultCounters& c) {
   return os.str();
 }
 
-std::string to_string(const HealthCounters& c) {
-  std::ostringstream os;
-  os << "lagging=" << c.lagging_transitions << " evictions=" << c.evictions
-     << " cancelled=" << c.cancelled_batches
-     << " degraded_windows=" << c.degraded_windows;
-  return os.str();
-}
-
 }  // namespace dprbg

@@ -114,35 +114,9 @@ struct FaultCounters {
   }
 };
 
-// Beacon failover totals, filled in by the HealthBoard
-// (src/beacon/beacon_failover.h): committee health transitions and
-// degraded-mode output accounting for one beacon run.
-struct HealthCounters {
-  std::uint64_t lagging_transitions = 0;  // live -> lagging flips
-  std::uint64_t evictions = 0;            // committees dropped for good
-  std::uint64_t cancelled_batches = 0;    // launch gates closed
-  std::uint64_t degraded_windows = 0;     // emitted windows missing a live
-                                          // committee's contribution
-
-  HealthCounters& operator+=(const HealthCounters& o) noexcept {
-    lagging_transitions += o.lagging_transitions;
-    evictions += o.evictions;
-    cancelled_batches += o.cancelled_batches;
-    degraded_windows += o.degraded_windows;
-    return *this;
-  }
-  HealthCounters operator-(const HealthCounters& o) const noexcept {
-    return {lagging_transitions - o.lagging_transitions,
-            evictions - o.evictions,
-            cancelled_batches - o.cancelled_batches,
-            degraded_windows - o.degraded_windows};
-  }
-};
-
 // Human-readable one-line summaries for harness output.
 std::string to_string(const FieldCounters& c);
 std::string to_string(const CommCounters& c);
 std::string to_string(const FaultCounters& c);
-std::string to_string(const HealthCounters& c);
 
 }  // namespace dprbg

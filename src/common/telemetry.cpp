@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <ostream>
 #include <string>
 
@@ -114,38 +115,85 @@ std::size_t MetricsRegistry::size() const {
   return entries_.size();
 }
 
+CollectorHandle::~CollectorHandle() { reg_.remove_collector(id_); }
+
+CollectorHandle MetricsRegistry::add_collector(Collector fn) {
+  std::lock_guard g(collector_mu_);
+  const std::uint64_t id = next_collector_++;
+  collectors_.emplace_back(id, std::move(fn));
+  return CollectorHandle(*this, id);
+}
+
+void MetricsRegistry::remove_collector(std::uint64_t id) {
+  std::lock_guard g(collector_mu_);
+  std::erase_if(collectors_, [id](const auto& c) { return c.first == id; });
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out;
-  std::lock_guard g(mu_);
-  out.samples.reserve(entries_.size());
-  for (const auto& e : entries_) {
-    MetricSample s;
-    s.name = e->name;
-    s.labels = e->labels;
-    s.type = e->type;
-    switch (e->type) {
-      case MetricType::kCounter:
-        s.value = static_cast<std::int64_t>(e->counter->value());
-        break;
-      case MetricType::kGauge:
-        s.value = e->gauge->value();
-        break;
-      case MetricType::kHistogram: {
-        const Histogram& h = *e->histogram;
-        s.count = h.count();
-        s.sum = h.sum();
-        for (unsigned i = 0; i < Histogram::kBuckets; ++i) {
-          const std::uint64_t c = h.bucket_count(i);
-          if (c != 0) s.buckets.emplace_back(i, c);
+  std::vector<MetricSample> raw;
+  {
+    std::lock_guard g(mu_);
+    raw.reserve(entries_.size());
+    for (const auto& e : entries_) {
+      MetricSample s;
+      s.name = e->name;
+      s.labels = e->labels;
+      s.type = e->type;
+      switch (e->type) {
+        case MetricType::kCounter:
+          s.value = static_cast<std::int64_t>(e->counter->value());
+          break;
+        case MetricType::kGauge:
+          s.value = e->gauge->value();
+          break;
+        case MetricType::kHistogram: {
+          const Histogram& h = *e->histogram;
+          s.count = h.count();
+          s.sum = h.sum();
+          for (unsigned i = 0; i < Histogram::kBuckets; ++i) {
+            const std::uint64_t c = h.bucket_count(i);
+            if (c != 0) s.buckets.emplace_back(i, c);
+          }
+          s.p50 = h.percentile(0.50);
+          s.p90 = h.percentile(0.90);
+          s.p99 = h.percentile(0.99);
+          s.p999 = h.percentile(0.999);
+          break;
         }
-        s.p50 = h.percentile(0.50);
-        s.p90 = h.percentile(0.90);
-        s.p99 = h.percentile(0.99);
-        s.p999 = h.percentile(0.999);
-        break;
       }
+      raw.push_back(std::move(s));
     }
-    out.samples.push_back(std::move(s));
+  }
+  {
+    std::lock_guard g(collector_mu_);
+    ViewSink sink(raw);
+    for (const auto& [id, fn] : collectors_) fn(sink);
+  }
+
+  // Group by name (families in first-appearance order, so Prometheus
+  // gets one contiguous block per family) and merge samples that share
+  // a (name, labels) pair: counters sum, gauges keep the maximum.
+  std::map<std::string, std::size_t, std::less<>> family_of;
+  std::vector<std::vector<MetricSample>> families;
+  for (auto& s : raw) {
+    const auto [it, fresh] = family_of.try_emplace(s.name, families.size());
+    if (fresh) families.emplace_back();
+    auto& fam = families[it->second];
+    const auto same = std::find_if(fam.begin(), fam.end(), [&s](auto& x) {
+      return x.labels == s.labels;
+    });
+    if (same == fam.end()) {
+      fam.push_back(std::move(s));
+    } else if (s.type == MetricType::kCounter) {
+      same->value += s.value;
+    } else {
+      same->value = std::max(same->value, s.value);
+    }
+  }
+  MetricsSnapshot out;
+  out.samples.reserve(raw.size());
+  for (auto& fam : families) {
+    for (auto& s : fam) out.samples.push_back(std::move(s));
   }
   return out;
 }

@@ -1,42 +1,54 @@
 // Live telemetry: a process-wide registry of named, label-tagged
 // instruments — monotonic counters, gauges, and log-bucketed latency
-// histograms — cheap enough for protocol hot paths.
+// histograms — cheap enough for protocol hot paths, plus snapshot-time
+// views of the ledgers the protocol stack keeps anyway.
 //
 // The trace layer (common/trace.h) answers "what did this run COST",
 // after the fact, as per-phase ledgers gated against the paper's lemmas.
 // This module answers "how is the system doing RIGHT NOW": pool depth,
 // refill latency percentiles, per-committee health, barrier wait time —
 // the signals a randomness-beacon operator watches while the service
-// runs. It deliberately mirrors trace.h's enable/disable contract:
+// runs. Every sample in a snapshot is one of two kinds:
 //
-//   * OFF by default. Every instrument mutator is behind one relaxed
-//     atomic load (`telemetry_enabled()`), so a disabled build-in adds a
-//     single predictable branch per site and allocates nothing — golden
-//     transcripts and bench numbers are unchanged
-//     (tests/telemetry_test.cpp locks this in, EXPERIMENTS.md E19
-//     bounds the overhead).
-//   * Instrumentation sites that need registry lookups or clock reads
-//     guard them behind `telemetry_enabled()` too, so the disabled mode
-//     performs ZERO registry mutations — not even instrument creation.
-//   * When enabled, instrument cells are relaxed atomics: player threads
-//     bump them concurrently without locks; the registry mutex is only
-//     taken to create/look up instruments and to snapshot.
+//   * PUSHED instruments (Counter, Gauge, Histogram) are bumped by the
+//     code that observes the event: latency histograms, pipeline and
+//     pool counters, anything on per-player code. They mirror trace.h's
+//     enable/disable contract: OFF by default, every mutator is behind
+//     one relaxed atomic load (`telemetry_enabled()`), and sites guard
+//     their registry lookups and clock reads behind it too, so a
+//     disabled run performs ZERO registry mutations — not even
+//     instrument creation (tests/telemetry_test.cpp locks this in,
+//     EXPERIMENTS.md E19 bounds the overhead). When enabled, cells are
+//     relaxed atomics bumped without locks.
+//   * VIEWS are counters and gauges that a ledger already holds: the
+//     lockstep core's per-domain and per-player comm and verdict
+//     counts, the misbehavior manager's totals and standings, the
+//     HealthBoard's health and failover counts, the TCP peers' byte and
+//     connect counts. The owning object registers one collector
+//     (add_collector) that reads its own always-on ledger when
+//     snapshot() runs; nothing is copied on the event path, so a view
+//     can never drift from its ledger and costs nothing while no one
+//     snapshots. A view reflects its object's state since that object
+//     was constructed and disappears when the object is destroyed (the
+//     RAII handle unregisters it).
 //
-// Aggregation semantics in the lockstep simulated cluster: instruments
-// observing SHARED state (the exchange path, the HealthBoard) count each
-// event once; instruments observing PER-PLAYER state (coin pools, the
-// pipeline scheduler) are bumped once per player per event — honest
-// players run in lockstep, so gauges agree (last writer wins) and
-// counters read as `players x events`. The reconciliation gates
-// (bench/pipeline --metrics, bench/beacon --metrics) are built on the
-// shared-state counters, which must equal Cluster::faults(), the
-// per-domain ledgers, and Cluster::comm() exactly.
+// Aggregation semantics. Views of SHARED state (the exchange path, the
+// HealthBoard) count each event once. Pushed instruments on PER-PLAYER
+// code (coin pools, the pipeline scheduler) are bumped once per player
+// per event — honest players run in lockstep, so gauges agree (last
+// writer wins) and counters read as `players x events`. Samples from
+// several live objects may share a (name, labels) pair (n TcpClusters
+// of one TcpLoopback, say): counters are summed, gauges keep the
+// maximum (the worst standing or health). The reconciliation gates
+// (bench/pipeline --metrics, bench/beacon --metrics) compare the views
+// with Cluster::faults(), the per-domain ledgers, Cluster::comm() and
+// the trace layer's per-round comm deltas.
 //
-// Exposition: `metrics().snapshot()` freezes every instrument into a
-// `MetricsSnapshot` that serializes to flat JSONL (same tolerant
-// conventions as the trace schema — unknown keys ignored, any key
-// order) and to Prometheus text format. `tools/metrics_report` renders
-// and diffs snapshots.
+// Exposition: `metrics().snapshot()` freezes every instrument and view
+// into a `MetricsSnapshot`, grouped by metric name, that serializes to
+// flat JSONL (same tolerant conventions as the trace schema — unknown
+// keys ignored, any key order) and to Prometheus text format.
+// `tools/metrics_report` renders and diffs snapshots.
 
 #pragma once
 
@@ -45,6 +57,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -214,7 +227,10 @@ struct MetricSample {
 bool from_json(std::string_view line, MetricSample& s);
 
 struct MetricsSnapshot {
-  std::vector<MetricSample> samples;  // registration order
+  // Grouped by name, families in first-registration order (pushed
+  // instruments first, then views in collector order); one sample per
+  // (name, labels).
+  std::vector<MetricSample> samples;
 
   // The sample with exactly this (name, labels), or nullptr.
   [[nodiscard]] const MetricSample* find(std::string_view name,
@@ -239,6 +255,58 @@ MetricsSnapshot read_snapshot(std::istream& is,
 // Registry.
 // ---------------------------------------------------------------------
 
+class MetricsRegistry;
+
+// What a collector appends its view samples to.
+class ViewSink {
+ public:
+  void counter(std::string_view name, std::string labels, std::uint64_t v) {
+    add(name, std::move(labels), MetricType::kCounter,
+        static_cast<std::int64_t>(v));
+  }
+  void gauge(std::string_view name, std::string labels, std::int64_t v) {
+    add(name, std::move(labels), MetricType::kGauge, v);
+  }
+
+ private:
+  friend class MetricsRegistry;
+  explicit ViewSink(std::vector<MetricSample>& out) : out_(out) {}
+  void add(std::string_view name, std::string labels, MetricType type,
+           std::int64_t v) {
+    MetricSample& s = out_.emplace_back();
+    s.name = name;
+    s.labels = std::move(labels);
+    s.type = type;
+    s.value = v;
+  }
+  std::vector<MetricSample>& out_;
+};
+
+// A snapshot-time view: reads its owner's ledger (under the owner's own
+// lock) into the sink. It runs under the registry's collector mutex, so
+// the lock order is collector mutex -> owner lock; it must never call
+// into the registry, and an owner must not register or unregister a
+// collector while holding its own lock.
+using Collector = std::function<void(ViewSink&)>;
+
+// Unregisters its collector on destruction, blocking until a snapshot
+// that is running it has finished. Owners hold it as their last member
+// (initialized in place from add_collector), so it registers after and
+// unregisters before every member the collector reads.
+class [[nodiscard]] CollectorHandle {
+ public:
+  CollectorHandle(const CollectorHandle&) = delete;
+  CollectorHandle& operator=(const CollectorHandle&) = delete;
+  ~CollectorHandle();
+
+ private:
+  friend class MetricsRegistry;
+  CollectorHandle(MetricsRegistry& reg, std::uint64_t id)
+      : reg_(reg), id_(id) {}
+  MetricsRegistry& reg_;
+  const std::uint64_t id_;
+};
+
 class MetricsRegistry {
  public:
   // Finds or creates the instrument with this (name, labels). The
@@ -252,12 +320,22 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name, std::string_view labels = {});
   Histogram& histogram(std::string_view name, std::string_view labels = {});
 
-  // Zeroes every instrument's cells. Instruments are never destroyed, so
-  // cached references stay valid across resets (benches reset between
-  // measured runs).
+  // Registers a view collector; it runs at every snapshot() until the
+  // returned handle is destroyed. Registration is not gated on
+  // telemetry_enabled(): views read ledgers that are always on.
+  CollectorHandle add_collector(Collector fn);
+
+  // Zeroes every pushed instrument's cells. Instruments are never
+  // destroyed, so cached references stay valid across resets (benches
+  // reset between measured runs). Views are not touched: they always
+  // read their object's state since construction.
   void reset();
 
+  // Number of pushed instruments (views are not counted).
   [[nodiscard]] std::size_t size() const;
+  // Copies the instruments under the instrument mutex, releases it, then
+  // runs the collectors under the collector mutex; merges samples that
+  // share a (name, labels) pair and groups them by name.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
@@ -272,8 +350,15 @@ class MetricsRegistry {
   Entry& entry(std::string_view name, std::string_view labels,
                MetricType type);
 
+  friend class CollectorHandle;
+  void remove_collector(std::uint64_t id);
+
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Entry>> entries_;  // registration order
+
+  mutable std::mutex collector_mu_;  // taken before any owner's lock
+  std::vector<std::pair<std::uint64_t, Collector>> collectors_;
+  std::uint64_t next_collector_ = 1;
 };
 
 // The process-wide registry used by every instrumentation site.

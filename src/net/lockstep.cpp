@@ -143,7 +143,7 @@ void PartyIo::note_decode_failure(int from) {
 // LockstepCore: handles, domains, ledgers.
 
 LockstepCore::LockstepCore(int n, int t, std::uint64_t seed)
-    : n_(n), t_(t), seed_(seed) {
+    : n_(n), t_(t), seed_(seed), player_comm_(static_cast<std::size_t>(n)) {
   DPRBG_CHECK(n >= 1 && t >= 0 && t < n);
 }
 
@@ -262,6 +262,7 @@ LockstepCore::DomainLedger LockstepCore::totals() const {
   std::lock_guard lk(mu_);
   DomainLedger sum = default_domain_.ledger;
   for (const auto& d : domains_) {
+    sum.comm += d->ledger.comm;
     sum.faults += d->ledger.faults;
     sum.stale += d->ledger.stale;
     sum.foreign += d->ledger.foreign;
@@ -277,7 +278,10 @@ void LockstepCore::set_misbehavior_manager(
   std::lock_guard lk(mu_);
   DPRBG_CHECK(!running_);
   if (mgr != nullptr) DPRBG_CHECK(mgr->n() == n_);
-  misbehavior_ = std::move(mgr);
+  // The replaced manager is released with `mgr`, after mu_: its
+  // telemetry view unregisters under the collector mutex, which a
+  // snapshot takes before mu_.
+  misbehavior_.swap(mgr);
 }
 
 void LockstepCore::note_decode_failure(const PartyIo& reporter, int from) {
@@ -285,10 +289,6 @@ void LockstepCore::note_decode_failure(const PartyIo& reporter, int from) {
   std::lock_guard lk(mu_);
   Domain& dom = domain_of(reporter.stream());
   ++dom.ledger.decode;
-  if (telemetry_enabled()) {
-    ensure_domain_telemetry(dom);
-    dom.tel_decode->add(1);
-  }
   if (tracer().enabled()) {
     // Round stamp: the stream's exchange count (the inbox being decoded
     // was delivered by the latest exchange).
@@ -305,20 +305,27 @@ void LockstepCore::note_decode_failure(const PartyIo& reporter, int from) {
   }
 }
 
-void LockstepCore::ensure_domain_telemetry(Domain& dom) {
-  // Called with mu_ held and telemetry enabled; the cached pointers stay
-  // valid for the process lifetime (registry never destroys instruments).
-  if (dom.tel_messages != nullptr) return;
-  const std::string l = "committee=" + std::to_string(dom.committee);
-  MetricsRegistry& reg = metrics();
-  dom.tel_messages = &reg.counter("net_domain_messages_total", l);
-  dom.tel_bytes = &reg.counter("net_domain_bytes_total", l);
-  dom.tel_stale = &reg.counter("net_stale_rejections_total", l);
-  dom.tel_foreign = &reg.counter("net_foreign_rejections_total", l);
-  dom.tel_faults = &reg.counter("net_fault_effects_total", l);
-  dom.tel_decode = &reg.counter("net_decode_rejections_total", l);
-  dom.tel_slow = &reg.counter("net_slow_envelopes_total", l);
-  dom.tel_banned = &reg.counter("net_banned_suppressed_total", l);
+void LockstepCore::collect(ViewSink& sink) const {
+  std::lock_guard lk(mu_);
+  const auto domain_view = [&sink](const Domain& d) {
+    const std::string l = "committee=" + std::to_string(d.committee);
+    const DomainLedger& led = d.ledger;
+    sink.counter("net_domain_messages_total", l, led.comm.messages);
+    sink.counter("net_domain_bytes_total", l, led.comm.bytes);
+    sink.counter("net_stale_rejections_total", l, led.stale);
+    sink.counter("net_foreign_rejections_total", l, led.foreign);
+    sink.counter("net_fault_effects_total", l, led.faults.total());
+    sink.counter("net_decode_rejections_total", l, led.decode);
+    sink.counter("net_slow_envelopes_total", l, led.slow);
+    sink.counter("net_banned_suppressed_total", l, led.banned);
+  };
+  domain_view(default_domain_);
+  for (const auto& d : domains_) domain_view(*d);
+  for (std::size_t i = 0; i < player_comm_.size(); ++i) {
+    const std::string l = "player=" + std::to_string(i);
+    sink.counter("net_player_messages_total", l, player_comm_[i].messages);
+    sink.counter("net_player_bytes_total", l, player_comm_[i].bytes);
+  }
 }
 
 std::vector<CommCounters> LockstepCore::per_player_comm() const {
@@ -327,20 +334,6 @@ std::vector<CommCounters> LockstepCore::per_player_comm() const {
     out[static_cast<std::size_t>(key.first)] += io->sent();
   }
   return out;
-}
-
-void LockstepCore::publish_comm_telemetry() {
-  if (!telemetry_enabled()) return;
-  const std::vector<CommCounters> now = per_player_comm();
-  published_comm_.resize(now.size());
-  MetricsRegistry& reg = metrics();
-  for (std::size_t i = 0; i < now.size(); ++i) {
-    const CommCounters delta = now[i] - published_comm_[i];
-    const std::string l = "player=" + std::to_string(i);
-    reg.counter("net_player_messages_total", l).add(delta.messages);
-    reg.counter("net_player_bytes_total", l).add(delta.bytes);
-    published_comm_[i] = now[i];
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -355,13 +348,11 @@ LockstepCore::Exchange::Exchange(LockstepCore& core, RoundStream& st)
                                     : core.injector_.get()),
       mgr_(core.misbehavior_.get()),
       trace_on_(tracer().enabled()),
-      tel_on_(telemetry_enabled()),
       local_batch_(st.id - dom_.first_stream) {
   // Clearing up front also drops leftovers admitted last round for
   // members that never joined (deliver() skips those).
   core_.exchange_scratch_.resize(static_cast<std::size_t>(core_.n_));
   for (auto& v : core_.exchange_scratch_) v.clear();
-  if (tel_on_) core_.ensure_domain_telemetry(dom_);
   if (inj_ == nullptr) return;
   // Delay-fault arrivals merge in ahead of this round's fresh traffic;
   // the (from, tag) stable sort interleaves them deterministically. Each
@@ -373,7 +364,6 @@ LockstepCore::Exchange::Exchange(LockstepCore& core, RoundStream& st)
   if (due == st_.delayed.end()) return;
   for (auto& d : due->second) {
     ++dom_.ledger.slow;
-    if (tel_on_) dom_.tel_slow->add(1);
     if (mgr_ != nullptr) {
       mgr_->report(d.msg.from, MisbehaviorSignal::kSlowEnvelope);
     }
@@ -383,7 +373,9 @@ LockstepCore::Exchange::Exchange(LockstepCore& core, RoundStream& st)
 }
 
 void LockstepCore::Exchange::charge(PartyIo& sender) {
-  sent_ += sender.sent_ - sender.charged_;
+  const CommCounters delta = sender.sent_ - sender.charged_;
+  sent_ += delta;
+  core_.player_comm_[static_cast<std::size_t>(sender.id_)] += delta;
   sender.charged_ = sender.sent_;
 }
 
@@ -401,21 +393,18 @@ void LockstepCore::Exchange::route(int to, Msg&& msg) {
   inj_->route(round_, to, std::move(msg), routed, st_.delayed, faults);
   for (Msg& m : routed) admit(to, std::move(m));
   const FaultCounters delta = faults - before;
-  if (delta.total() == 0) return;
-  if (tel_on_) dom_.tel_faults->add(delta.total());
-  if (trace_on_) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kPoint;
-    ev.protocol = "net";
-    ev.phase = "fault";
-    ev.player = to;
-    ev.batch = local_batch_;
-    ev.committee = dom_.committee;
-    ev.round_begin = ev.round_end = round_;
-    ev.faults = delta;
-    ev.detail = "from=" + std::to_string(from) + " tag=" + std::to_string(tag);
-    tracer().record(std::move(ev));
-  }
+  if (delta.total() == 0 || !trace_on_) return;
+  TraceEvent ev;
+  ev.kind = TraceEventKind::kPoint;
+  ev.protocol = "net";
+  ev.phase = "fault";
+  ev.player = to;
+  ev.batch = local_batch_;
+  ev.committee = dom_.committee;
+  ev.round_begin = ev.round_end = round_;
+  ev.faults = delta;
+  ev.detail = "from=" + std::to_string(from) + " tag=" + std::to_string(tag);
+  tracer().record(std::move(ev));
 }
 
 void LockstepCore::Exchange::admit(int to, Msg&& msg) {
@@ -432,20 +421,17 @@ void LockstepCore::Exchange::admit(int to, Msg&& msg) {
         mgr_->report(msg.from, MisbehaviorSignal::kStaleFlood);
       }
       ++led.stale;
-      if (tel_on_) dom_.tel_stale->add(1);
       break;
     case AdmitVerdict::kForeign:
       if (mgr_ != nullptr) {
         mgr_->report(msg.from, MisbehaviorSignal::kForeignTraffic);
       }
       ++led.foreign;
-      if (tel_on_) dom_.tel_foreign->add(1);
       break;
     case AdmitVerdict::kBanned:
       // Suppression is an effect of standing, not a fresh observation,
       // so it scores nothing; the manager only counts it.
       ++led.banned;
-      if (tel_on_) dom_.tel_banned->add(1);
       mgr_->note_suppressed(msg.from);
       break;
   }
@@ -461,11 +447,7 @@ void LockstepCore::Exchange::admit(int to, Msg&& msg) {
 
 void LockstepCore::Exchange::deliver() {
   sent_.rounds = 1;  // one exchange; the senders' own counts are theirs
-  core_.comm_ += sent_;
-  if (tel_on_) {
-    dom_.tel_messages->add(sent_.messages);
-    dom_.tel_bytes->add(sent_.bytes);
-  }
+  dom_.ledger.comm += sent_;
   if (trace_on_) {
     // Round-advance marker, stamped with the exchange's charged totals.
     TraceEvent ev;

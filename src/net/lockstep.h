@@ -13,12 +13,14 @@
 //     `instance()`, and `note_decode_failure`;
 //   * the (player, stream) handle table and the round streams;
 //   * stream domains (committee rosters) and one ledger per domain
-//     {faults, stale, foreign, decode, slow, banned} — each verdict is
-//     counted there once; the telemetry counters and trace points are
-//     mirrors, and every aggregate accessor is a sum over the domains;
+//     {comm, faults, stale, foreign, decode, slow, banned} — each
+//     verdict is counted there once; every aggregate accessor is a sum
+//     over the domains, and the net_* telemetry counters are a
+//     snapshot-time view of the same ledgers (plus the per-player
+//     charged comm);
 //   * the admit path (stale -> foreign -> banned, self-deliveries exempt
 //     from ban suppression), then the misbehavior signal, the ledger
-//     bump, telemetry and the trace point;
+//     bump and the trace point;
 //   * fault-plan routing, delay queues, comm charging, and the canonical
 //     inbox order (stable by send order, sorted by (from, tag)).
 //
@@ -111,7 +113,7 @@ class PartyIo {
 
   // Reports that a message from `from` (delivered on this stream) failed
   // protocol decoding. Counted in the stream's domain ledger, surfaced
-  // as telemetry and a `net/decode_reject` trace point, and forwarded to
+  // as a `net/decode_reject` trace point, and forwarded to
   // the misbehavior manager as a kDecodeFailure signal against `from`.
   // Self-reports and out-of-range senders are ignored. Honest decoders
   // call this at every `if (!decoded)` drop site.
@@ -221,6 +223,7 @@ class LockstepCore {
   // One domain's ledger: link-fault effects plus the admit rejections
   // and decode reports charged to its streams.
   struct DomainLedger {
+    CommCounters comm;  // charged on this domain; `rounds` = exchanges
     FaultCounters faults;
     std::uint64_t stale = 0;    // stale-tag rejections on this domain
     std::uint64_t foreign = 0;  // foreign-roster rejections on this domain
@@ -272,19 +275,13 @@ class LockstepCore {
 
   // Aggregate communication across all local players, streams, and
   // run() calls; `rounds` counts exchanges.
-  [[nodiscard]] const CommCounters& comm() const { return comm_; }
+  [[nodiscard]] CommCounters comm() const { return totals().comm; }
   // Per-player communication staged so far: player i's root handle plus
   // all of its per-batch instance handles. Must not be called while
   // run() is active. For programs that end with a sync(), the
   // message/byte sums equal comm() exactly; `rounds` is the player's own
   // total sync count across its handles.
   [[nodiscard]] std::vector<CommCounters> per_player_comm() const;
-  // Surfaces per_player_comm as labeled telemetry counters
-  // net_player_{messages,bytes}_total{player=i}. Adds the delta since
-  // the previous publish, so repeated calls keep the counters monotonic.
-  // No-op while telemetry is disabled; must not be called while run()
-  // is active.
-  void publish_comm_telemetry();
 
  protected:
   LockstepCore(int n, int t, std::uint64_t seed);
@@ -307,16 +304,6 @@ class LockstepCore {
     // Simulated round latency override read by the in-process link; -1
     // inherits the cluster-wide value.
     int round_latency_us = -1;
-    // Telemetry mirrors labeled committee=<id>, filled under mu_ the
-    // first time an exchange runs with telemetry enabled.
-    Counter* tel_messages = nullptr;
-    Counter* tel_bytes = nullptr;
-    Counter* tel_stale = nullptr;
-    Counter* tel_foreign = nullptr;
-    Counter* tel_faults = nullptr;
-    Counter* tel_decode = nullptr;
-    Counter* tel_slow = nullptr;
-    Counter* tel_banned = nullptr;
   };
 
   // One independent lockstep round stream.
@@ -343,7 +330,7 @@ class LockstepCore {
     // One envelope to `to`: non-self envelopes pass the fault plan, then
     // every surviving copy is admitted.
     void route(int to, Msg&& msg);
-    // Books the exchange (comm, telemetry, `net/round` trace) and hands
+    // Books the exchange (comm, `net/round` trace) and hands
     // each local member its canonically sorted inbox.
     void deliver();
 
@@ -357,7 +344,6 @@ class LockstepCore {
     const FaultInjector* inj_;
     MisbehaviorManager* mgr_;
     const bool trace_on_;
-    const bool tel_on_;
     const std::uint32_t local_batch_;  // stream id within its domain
     CommCounters sent_;
   };
@@ -384,7 +370,8 @@ class LockstepCore {
 
   Domain& domain_of(std::uint32_t stream);
   [[nodiscard]] const Domain& domain_of(std::uint32_t stream) const;
-  void ensure_domain_telemetry(Domain& dom);
+  // The net_* telemetry view over the ledgers below (takes mu_).
+  void collect(ViewSink& sink) const;
   void note_decode_failure(const PartyIo& reporter, int from);
 
   const int n_;
@@ -403,12 +390,14 @@ class LockstepCore {
 
   std::shared_ptr<const FaultInjector> injector_;
   std::shared_ptr<MisbehaviorManager> misbehavior_;
-  CommCounters comm_;
+  // Comm charged per local sender by Exchange::charge.
+  std::vector<CommCounters> player_comm_;
   // Per-exchange routing scratch: the outer vector survives across
   // exchanges so routing does not malloc per round (the inner vectors
   // move into the delivered Inboxes).
   std::vector<std::vector<Msg>> exchange_scratch_;
-  std::vector<CommCounters> published_comm_;
+  CollectorHandle collector_ =
+      metrics().add_collector([this](ViewSink& sink) { collect(sink); });
 };
 
 }  // namespace dprbg

@@ -31,6 +31,7 @@ MisbehaviorManager::MisbehaviorManager(int n, MisbehaviorPolicy policy)
   DPRBG_CHECK(policy_.suspect_exit <= policy_.suspect_enter);
   DPRBG_CHECK(policy_.suspect_enter <= policy_.ban_enter);
   DPRBG_CHECK(policy_.ban_exit <= policy_.ban_enter);
+  std::lock_guard lk(mu_);  // the telemetry view is already registered
   peers_.resize(static_cast<std::size_t>(n));
   banned_flags_ =
       std::make_unique<std::atomic<std::uint8_t>[]>(static_cast<std::size_t>(n));
@@ -40,18 +41,26 @@ MisbehaviorManager::MisbehaviorManager(int n, MisbehaviorPolicy policy)
   }
 }
 
-void MisbehaviorManager::publish_standing(int peer, PeerState& p) {
-  if (!telemetry_enabled()) return;
-  if (p.tel_standing == nullptr) {
-    p.tel_standing = &metrics().gauge("net_peer_standing",
-                                      "player=" + std::to_string(peer));
+void MisbehaviorManager::collect(ViewSink& sink) const {
+  std::lock_guard lk(mu_);
+  for (std::size_t s = 0; s < kMisbehaviorSignals; ++s) {
+    std::uint64_t reports = 0;
+    for (const PeerState& p : peers_) reports += p.reports[s];
+    sink.counter("net_misbehavior_reports_total",
+                 std::string("signal=") +
+                     to_string(static_cast<MisbehaviorSignal>(s)),
+                 reports);
   }
-  p.tel_standing->set(static_cast<std::int64_t>(p.standing));
+  sink.counter("net_peer_bans_total", {}, totals_.bans);
+  sink.counter("net_peer_unbans_total", {}, totals_.unbans);
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    sink.gauge("net_peer_standing", "player=" + std::to_string(i),
+               static_cast<std::int64_t>(peers_[i].standing));
+  }
 }
 
 void MisbehaviorManager::apply_transitions(int peer, PeerState& p,
                                            bool rising) {
-  const PeerStanding before = p.standing;
   if (rising) {
     if (p.standing != PeerStanding::kBanned &&
         p.score >= policy_.ban_enter) {
@@ -60,12 +69,6 @@ void MisbehaviorManager::apply_transitions(int peer, PeerState& p,
       ++totals_.bans;
       banned_flags_[static_cast<std::size_t>(peer)].store(
           1, std::memory_order_relaxed);
-      if (telemetry_enabled()) {
-        if (tel_bans_ == nullptr) {
-          tel_bans_ = &metrics().counter("net_peer_bans_total");
-        }
-        tel_bans_->add(1);
-      }
     } else if (p.standing == PeerStanding::kHealthy &&
                p.score >= policy_.suspect_enter) {
       p.standing = PeerStanding::kSuspect;
@@ -78,19 +81,12 @@ void MisbehaviorManager::apply_transitions(int peer, PeerState& p,
       ++totals_.unbans;
       banned_flags_[static_cast<std::size_t>(peer)].store(
           0, std::memory_order_relaxed);
-      if (telemetry_enabled()) {
-        if (tel_unbans_ == nullptr) {
-          tel_unbans_ = &metrics().counter("net_peer_unbans_total");
-        }
-        tel_unbans_->add(1);
-      }
     }
     if (p.standing == PeerStanding::kSuspect &&
         p.score < policy_.suspect_exit) {
       p.standing = PeerStanding::kHealthy;
     }
   }
-  if (p.standing != before) publish_standing(peer, p);
 }
 
 void MisbehaviorManager::report(int peer, MisbehaviorSignal sig,
@@ -137,22 +133,13 @@ void MisbehaviorManager::report_decode(int peer, int reporter,
   apply_transitions(peer, p, /*rising=*/true);
 }
 
-// Shared recording half of report()/report_decode(): reports[] ledger,
-// totals, and telemetry. Called with mu_ held.
+// Shared recording half of report()/report_decode(): reports[] ledger
+// and totals. Called with mu_ held.
 void MisbehaviorManager::record_report(int peer, MisbehaviorSignal sig,
                                        std::uint64_t count) {
-  PeerState& p = peers_[static_cast<std::size_t>(peer)];
-  const auto s = static_cast<std::size_t>(sig);
-  p.reports[s] += count;
+  peers_[static_cast<std::size_t>(peer)]
+      .reports[static_cast<std::size_t>(sig)] += count;
   totals_.reports += count;
-  if (telemetry_enabled()) {
-    if (tel_reports_[s] == nullptr) {
-      tel_reports_[s] = &metrics().counter(
-          "net_misbehavior_reports_total",
-          std::string("signal=") + to_string(sig));
-    }
-    tel_reports_[s]->add(count);
-  }
 }
 
 void MisbehaviorManager::tick(std::uint64_t ticks) {

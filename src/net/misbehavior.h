@@ -33,6 +33,10 @@
 // may be called from any player thread or a monitor thread while run()
 // is active. banned() is a lock-free relaxed-atomic read — it sits on
 // the demux admit path of every exchanged envelope.
+//
+// Telemetry: one snapshot-time view (common/telemetry.h) reads the
+// ledger below — net_misbehavior_reports_total{signal},
+// net_peer_{bans,unbans}_total and net_peer_standing{player}.
 
 #pragma once
 
@@ -186,16 +190,15 @@ class MisbehaviorManager {
     std::vector<char> decode_reporters;
     unsigned distinct_decode_reporters = 0;
     std::uint64_t decode_held = 0;
-    Gauge* tel_standing = nullptr;  // net_peer_standing{player=i}
   };
 
   // Applies standing transitions for the peer's current score; called
   // with mu_ held. `rising` selects enter (report) vs exit (tick)
   // thresholds so hysteresis is honored.
   void apply_transitions(int peer, PeerState& p, bool rising);
-  void publish_standing(int peer, PeerState& p);
-  // Ledger/telemetry half shared by report()/report_decode(); with mu_.
+  // Ledger half shared by report()/report_decode(); with mu_.
   void record_report(int peer, MisbehaviorSignal sig, std::uint64_t count);
+  void collect(ViewSink& sink) const;  // the telemetry view (takes mu_)
 
   const int n_;
   const MisbehaviorPolicy policy_;
@@ -207,12 +210,8 @@ class MisbehaviorManager {
   // Mirrors peers_[i].standing == kBanned for lock-free demux reads.
   std::unique_ptr<std::atomic<std::uint8_t>[]> banned_flags_;
 
-  // Cached telemetry instruments (lazily created under mu_ when
-  // telemetry is enabled; registry keeps them alive process-wide).
-  Counter* tel_reports_[kMisbehaviorSignals] = {nullptr, nullptr, nullptr,
-                                                nullptr};
-  Counter* tel_bans_ = nullptr;
-  Counter* tel_unbans_ = nullptr;
+  CollectorHandle collector_ =
+      metrics().add_collector([this](ViewSink& sink) { collect(sink); });
 };
 
 }  // namespace dprbg

@@ -73,13 +73,12 @@ TcpCluster::TcpCluster(int id, int n, int t, std::uint64_t seed,
       id_(id),
       roster_(std::move(roster)),
       opts_(opts),
-      roster_hash_(roster_hash(n, t, roster_)) {
+      roster_hash_(roster_hash(n, t, roster_)),
+      peers_(static_cast<std::size_t>(n)) {
   DPRBG_CHECK(id_ >= 0 && id_ < n);
   DPRBG_CHECK(static_cast<int>(roster_.size()) == n);
-  peers_.resize(static_cast<std::size_t>(n));
   lapsed_.assign(static_cast<std::size_t>(n), 0);
   bye_.assign(static_cast<std::size_t>(n), 0);
-  peer_telemetry_.resize(static_cast<std::size_t>(n));
   handle(id_, 0);
 }
 
@@ -124,16 +123,19 @@ bool TcpCluster::start() {
                        std::vector<std::uint8_t> payload) {
     on_frame(peer, type, std::move(payload));
   };
-  cb.on_up = [this](int peer, bool reconnect) { on_peer_up(peer, reconnect); };
+  cb.on_up = [this](int, bool) { on_peer_up(); };
   cb.on_down = [this](int peer) { on_peer_down(peer); };
 
-  for (int j = 0; j < n(); ++j) {
-    if (j == id_) continue;
-    const auto role =
-        j < id_ ? TcpPeer::Role::kDialer : TcpPeer::Role::kListener;
-    peers_[static_cast<std::size_t>(j)] = std::make_unique<TcpPeer>(
-        id_, j, roster_[static_cast<std::size_t>(j)].host,
-        roster_[static_cast<std::size_t>(j)].port, role, popts, cb);
+  {
+    std::lock_guard lk(mu_);  // stats() and the telemetry view read peers_
+    for (int j = 0; j < n(); ++j) {
+      if (j == id_) continue;
+      const auto role =
+          j < id_ ? TcpPeer::Role::kDialer : TcpPeer::Role::kListener;
+      peers_[static_cast<std::size_t>(j)] = std::make_unique<TcpPeer>(
+          id_, j, roster_[static_cast<std::size_t>(j)].host,
+          roster_[static_cast<std::size_t>(j)].port, role, popts, cb);
+    }
   }
   accept_thread_ = std::thread([this] { accept_loop(); });
   for (auto& p : peers_) {
@@ -213,21 +215,11 @@ bool TcpCluster::accept_handshake(int fd) {
   return true;
 }
 
-void TcpCluster::on_peer_up(int peer, bool reconnect) {
-  {
-    std::lock_guard lk(mu_);
-    if (telemetry_enabled()) {
-      PeerTelemetry& pt = peer_telemetry_[static_cast<std::size_t>(peer)];
-      const std::string l = "node=" + std::to_string(id_) +
-                            ",peer=" + std::to_string(peer);
-      if (pt.connects == nullptr) {
-        pt.connects = &metrics().counter("net_tcp_connects_total", l);
-        pt.reconnects = &metrics().counter("net_tcp_reconnects_total", l);
-      }
-      pt.connects->add(1);
-      if (reconnect) pt.reconnects->add(1);
-    }
-  }
+void TcpCluster::on_peer_up() {
+  // The peer counts its own connects; start() only needs a wake-up.
+  // Taking mu_ first keeps it from being lost between a waiter's
+  // predicate check and its wait.
+  { std::lock_guard lk(mu_); }
   cv_.notify_all();
 }
 
@@ -308,14 +300,6 @@ void TcpCluster::on_frame(int peer, FrameType type,
           buffered_msgs_ += frame->msgs.size();
           st.pending[static_cast<std::size_t>(peer)][frame->round] =
               std::move(frame->msgs);
-          if (telemetry_enabled()) {
-            if (tel_recv_pending_ == nullptr) {
-              tel_recv_pending_ = &metrics().gauge(
-                  "net_tcp_recv_pending", "node=" + std::to_string(id_));
-            }
-            tel_recv_pending_->set(
-                static_cast<std::int64_t>(buffered_msgs_));
-          }
         }
         notify = true;
       }
@@ -394,9 +378,6 @@ void TcpCluster::link_sync(PartyIo& io) {
     per_sender.erase(it);
   }
   ex.deliver();
-  if (telemetry_enabled() && tel_recv_pending_ != nullptr) {
-    tel_recv_pending_->set(static_cast<std::int64_t>(buffered_msgs_));
-  }
 }
 
 void TcpCluster::run(const Program& program) {
@@ -482,32 +463,20 @@ void TcpCluster::sever_peer(int peer) {
   if (p != nullptr) p->sever();
 }
 
-void TcpCluster::publish_telemetry() {
-  if (!telemetry_enabled()) return;
+void TcpCluster::collect(ViewSink& sink) const {
   std::lock_guard lk(mu_);
-  MetricsRegistry& reg = metrics();
   for (int j = 0; j < n(); ++j) {
     const TcpPeer* p = peers_[static_cast<std::size_t>(j)].get();
     if (p == nullptr) continue;
-    PeerTelemetry& pt = peer_telemetry_[static_cast<std::size_t>(j)];
     const std::string l =
         "node=" + std::to_string(id_) + ",peer=" + std::to_string(j);
-    if (pt.tx_bytes == nullptr) {
-      pt.tx_bytes = &reg.counter("net_tcp_tx_bytes_total", l);
-      pt.rx_bytes = &reg.counter("net_tcp_rx_bytes_total", l);
-    }
-    const std::uint64_t tx = p->tx_bytes();
-    const std::uint64_t rx = p->rx_bytes();
-    pt.tx_bytes->add(tx - pt.published_tx);
-    pt.rx_bytes->add(rx - pt.published_rx);
-    pt.published_tx = tx;
-    pt.published_rx = rx;
+    sink.counter("net_tcp_connects_total", l, p->connects());
+    sink.counter("net_tcp_reconnects_total", l, p->reconnects());
+    sink.counter("net_tcp_tx_bytes_total", l, p->tx_bytes());
+    sink.counter("net_tcp_rx_bytes_total", l, p->rx_bytes());
   }
-  if (tel_recv_pending_ == nullptr) {
-    tel_recv_pending_ = &reg.gauge("net_tcp_recv_pending",
-                                   "node=" + std::to_string(id_));
-  }
-  tel_recv_pending_->set(static_cast<std::int64_t>(buffered_msgs_));
+  sink.gauge("net_tcp_recv_pending", "node=" + std::to_string(id_),
+             static_cast<std::int64_t>(buffered_msgs_));
 }
 
 // ---------------------------------------------------------------------------

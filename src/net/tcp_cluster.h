@@ -20,7 +20,8 @@
 // barrier marker), waits until every non-lapsed peer's bundle for
 // (stream, r) has arrived, and feeds the core senders ascending, each in
 // its send order. Physical frame bytes (length prefix, bundle header)
-// appear only in TcpStats and telemetry, never in comm().
+// appear only in TcpStats and the net_tcp_* telemetry view, never in
+// comm().
 //
 // Failure semantics: a peer whose connection dies while a run is active
 // is "lapsed" — permanently, for that run. Barriers stop waiting for it
@@ -175,11 +176,6 @@ class TcpCluster : private LockstepCore {
   // equivalent runs).
   using LockstepCore::comm;
 
-  // Publishes per-peer transport counters as labeled telemetry
-  // (net_tcp_*{node=i,peer=j}); delta-based, safe to call repeatedly.
-  // No-op while telemetry is disabled.
-  void publish_telemetry();
-
   // Chaos/test hook: cuts the live connection to `peer` (both halves see
   // a close, the dialer side reconnects with backoff). During a run this
   // is a peer kill — the peer lapses; between start() and run() it
@@ -205,7 +201,7 @@ class TcpCluster : private LockstepCore {
 
   // Peer-thread entry points (serialized on mu_).
   void on_frame(int peer, FrameType type, std::vector<std::uint8_t> payload);
-  void on_peer_up(int peer, bool reconnect);
+  void on_peer_up();
   void on_peer_down(int peer);
   // A framing violation by `peer`: count, score, and cut the connection.
   void reject_frame(int peer);
@@ -218,6 +214,10 @@ class TcpCluster : private LockstepCore {
   // same (stream, round), and runs the core's exchange.
   void link_sync(PartyIo& io) override;
   StreamState& stream_state_locked(std::uint32_t stream);
+  // The telemetry view: net_tcp_{connects,reconnects,tx_bytes,rx_bytes}
+  // _total{node,peer} from the peers' own counters and
+  // net_tcp_recv_pending{node} (takes mu_).
+  void collect(ViewSink& sink) const;
 
   const int id_;
   const std::vector<TcpNodeAddr> roster_;
@@ -239,25 +239,15 @@ class TcpCluster : private LockstepCore {
   std::uint64_t lapsed_frames_ = 0;
   std::uint64_t buffered_msgs_ = 0;  // demuxed, not yet sync()-consumed
 
-  // Telemetry (lazily created; labels node=<id>[,peer=<j>]).
+  // Lazily created net_tcp_barrier_wait_us{node=<id>}.
   Histogram* tel_barrier_wait_ = nullptr;
-  Gauge* tel_recv_pending_ = nullptr;
-  struct PeerTelemetry {
-    Counter* connects = nullptr;
-    Counter* reconnects = nullptr;
-    Counter* tx_bytes = nullptr;
-    Counter* rx_bytes = nullptr;
-    std::uint64_t published_connects = 0;
-    std::uint64_t published_reconnects = 0;
-    std::uint64_t published_tx = 0;
-    std::uint64_t published_rx = 0;
-  };
-  std::vector<PeerTelemetry> peer_telemetry_;
 
-  // peers_[j] for j != id_; [id_] stays null. Declared after everything
-  // their reader threads touch.
+  // peers_[j] for j != id_; [id_] stays null (filled by start() under
+  // mu_). Declared after everything their reader threads touch.
   std::vector<std::unique_ptr<TcpPeer>> peers_;
   std::thread accept_thread_;
+  CollectorHandle collector_ =
+      metrics().add_collector([this](ViewSink& sink) { collect(sink); });
 };
 
 // --------------------------------------------------------------------------

@@ -2,39 +2,55 @@
 //   * enable/disable contract — with telemetry disabled, a full cluster
 //     run performs ZERO registry mutations (no instruments created, no
 //     cells bumped): the disabled mode is an identity, not just "cheap";
+//     and a destroyed object leaves no view behind;
 //   * histogram bucket math — log-bucketed observations land in the
 //     bucket whose [lower, upper] range brackets the value, and every
 //     percentile matches a scalar reference computation bucket-for-bucket;
 //   * snapshot JSONL round-trip and the Prometheus writer;
 //   * registry thread-safety — an 8-thread hammer on shared instruments
 //     (exercised under TSan by tools/sanitize.sh);
-//   * reconciliation — an enabled cluster run's counters equal the
-//     cluster's own ledgers exactly, and BeaconStatus reflects the
-//     HealthBoard it distills.
+//   * views — the net_*, net_tcp_*, misbehavior and beacon counters are
+//     snapshot-time reads of their objects' ledgers: they equal those
+//     ledgers exactly (simulated Cluster and TcpLoopback), merge across
+//     objects into one sample per (name, labels), group by family in
+//     Prometheus output, and are safe to snapshot mid-run (TSan);
+//   * BeaconStatus reflects the HealthBoard it distills.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/telemetry.h"
 #include "beacon/beacon_status.h"
+#include "coin/coin_pipeline.h"
 #include "dprbg/coin_pool.h"
 #include "dprbg/trusted_dealer.h"
 #include "gf/gf2.h"
 #include "net/cluster.h"
+#include "net/committee.h"
 #include "net/fault.h"
 #include "net/misbehavior.h"
+#include "net/tcp_cluster.h"
 
 namespace dprbg {
 namespace {
 
 using F = GF2_64;
+
+std::string jsonl(const MetricsSnapshot& snap) {
+  std::ostringstream os;
+  snap.write_json(os);
+  return os.str();
+}
 
 // Every test leaves the global registry empty and telemetry off.
 class TelemetryTest : public ::testing::Test {
@@ -84,20 +100,29 @@ TEST_F(TelemetryTest, DisabledClusterRunPerformsZeroRegistryMutations) {
   // reset() zeroes instruments but never destroys them (cached refs must
   // stay valid), so measure the registry as a delta, not an absolute.
   const std::size_t size_before = metrics().size();
+  const std::string snap_before = jsonl(metrics().snapshot());
   const int n = 5;
   const unsigned t = 1;
   auto genesis = trusted_dealer_coins<F>(n, t, 4, /*seed=*/11);
-  Cluster cluster(n, static_cast<int>(t), /*seed=*/11);
-  cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    CoinPool<F> pool;
-    for (auto& c : genesis[io.id()]) pool.add(std::move(c));
-    io.send_all(make_tag(ProtoId::kApp, 0, 0), {1, 2, 3});
-    io.sync();
-    (void)pool.take();
-  }));
-  cluster.publish_comm_telemetry();
+  {
+    Cluster cluster(n, static_cast<int>(t), /*seed=*/11);
+    cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
+      CoinPool<F> pool;
+      for (auto& c : genesis[io.id()]) pool.add(std::move(c));
+      io.send_all(make_tag(ProtoId::kApp, 0, 0), {1, 2, 3});
+      io.sync();
+      (void)pool.take();
+    }));
+    EXPECT_EQ(metrics().size(), size_before);
+    EXPECT_GT(cluster.comm().messages, 0u);  // the run really ran
+    // The cluster's view is live while the cluster is: it reads the
+    // always-on ledger, telemetry flag or not.
+    EXPECT_EQ(metrics().snapshot().sum_values("net_domain_messages_total"),
+              static_cast<std::int64_t>(cluster.comm().messages));
+  }
+  // Destroying the cluster unregistered its collector: nothing leaks.
   EXPECT_EQ(metrics().size(), size_before);
-  EXPECT_GT(cluster.comm().messages, 0u);  // the run really ran
+  EXPECT_EQ(jsonl(metrics().snapshot()), snap_before);
 }
 
 // ---------------------------------------------------------------------
@@ -317,7 +342,6 @@ TEST_F(TelemetryTest, EnabledClusterRunReconcilesWithClusterLedgers) {
       io.sync();
     }
   }));
-  cluster.publish_comm_telemetry();
   const MetricsSnapshot snap = metrics().snapshot();
   EXPECT_EQ(snap.sum_values("net_domain_messages_total"),
             static_cast<std::int64_t>(cluster.comm().messages));
@@ -337,9 +361,9 @@ TEST_F(TelemetryTest, EnabledClusterRunReconcilesWithClusterLedgers) {
     ASSERT_NE(s, nullptr) << p;
     EXPECT_EQ(s->value, static_cast<std::int64_t>(per_player[p].bytes)) << p;
   }
-  // publish is delta-based: publishing twice with no traffic in between
-  // must not double-count.
-  cluster.publish_comm_telemetry();
+  // Views are reads, not deltas: snapshotting twice with no traffic in
+  // between must not double-count, and reset() does not touch them.
+  metrics().reset();
   const MetricsSnapshot again = metrics().snapshot();
   EXPECT_EQ(again.sum_values("net_player_bytes_total"),
             static_cast<std::int64_t>(cluster.comm().bytes));
@@ -352,7 +376,11 @@ TEST_F(TelemetryTest, EnabledClusterRunReconcilesWithClusterLedgers) {
 TEST_F(TelemetryTest, MisbehaviorCountersReconcileWithClusterAndManager) {
   set_telemetry_enabled(true);
   const int n = 4, rounds = 3;
-  auto mgr = std::make_shared<MisbehaviorManager>(n);
+  // Decay only moves on tick(), which nothing calls during the run; the
+  // tick after it decays every score to zero, unbanning player 2.
+  MisbehaviorPolicy policy;
+  policy.decay_per_tick = 1000;
+  auto mgr = std::make_shared<MisbehaviorManager>(n, policy);
   // Pre-ban player 2 so the run also exercises the suppression counter.
   mgr->report(2, MisbehaviorSignal::kForeignTraffic, 10);
   ASSERT_TRUE(mgr->banned(2));
@@ -405,6 +433,251 @@ TEST_F(TelemetryTest, MisbehaviorCountersReconcileWithClusterAndManager) {
   ASSERT_NE(standing, nullptr);
   EXPECT_EQ(standing->value,
             static_cast<std::int64_t>(PeerStanding::kBanned));
+  EXPECT_EQ(snap.sum_values("net_peer_unbans_total"), 0);
+
+  // Decay past ban_exit: the unban shows up in the view at once.
+  mgr->tick();
+  ASSERT_FALSE(mgr->banned(2));
+  EXPECT_EQ(mgr->totals().unbans, 1u);
+  const MetricsSnapshot after = metrics().snapshot();
+  EXPECT_EQ(after.sum_values("net_peer_unbans_total"),
+            static_cast<std::int64_t>(mgr->totals().unbans));
+  EXPECT_EQ(after.sum_values("net_peer_bans_total"),
+            static_cast<std::int64_t>(mgr->totals().bans));
+  const MetricSample* healed = after.find("net_peer_standing", "player=2");
+  ASSERT_NE(healed, nullptr);
+  EXPECT_EQ(healed->value,
+            static_cast<std::int64_t>(mgr->standing(2)));
+  EXPECT_NE(healed->value, static_cast<std::int64_t>(PeerStanding::kBanned));
+}
+
+// Views from two committees and interleaved pushed instruments: the
+// snapshot groups every family, so the Prometheus text has one # TYPE
+// line per family and each family's samples in one contiguous block.
+TEST_F(TelemetryTest, PrometheusEmitsEachFamilyOnceAndContiguously) {
+  set_telemetry_enabled(true);
+  // Registration interleaved by committee, the pattern that used to
+  // split families.
+  for (int c = 0; c < 2; ++c) {
+    const std::string l = "committee=" + std::to_string(c);
+    metrics().counter("t_first_total", l).add(1);
+    metrics().histogram("t_wait_us", l).observe(10);
+  }
+  const int n = 4;
+  Cluster cluster(n, 1, /*seed=*/41);
+  Committee::Options o0;
+  o0.id = 1;
+  o0.first_stream = 0;
+  o0.stream_count = 16;
+  o0.t = 0;
+  Committee::Options o1 = o0;
+  o1.id = 2;
+  o1.first_stream = 16;
+  Committee com0(cluster, {0, 1}, o0);
+  Committee com1(cluster, {2, 3}, o1);
+  HealthBoard board(/*committees=*/2, /*batches=*/1, FailoverPolicy{});
+  cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
+    Endpoint& ep = io.id() < 2 ? com0.endpoint(io) : com1.endpoint(io);
+    ep.send_all(make_tag(ProtoId::kApp, 0, 0), {5, 5});
+    ep.sync();
+  }));
+  const MetricsSnapshot snap = metrics().snapshot();
+  EXPECT_NE(snap.find("net_domain_messages_total", "committee=1"), nullptr);
+  EXPECT_NE(snap.find("net_domain_messages_total", "committee=2"), nullptr);
+  EXPECT_EQ(snap.sum_values("net_domain_messages_total"),
+            static_cast<std::int64_t>(cluster.comm().messages));
+
+  std::ostringstream os;
+  snap.write_prometheus(os);
+  std::istringstream lines(os.str());
+  std::set<std::string> typed;
+  std::string family;
+  std::string line;
+  std::size_t samples = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      family = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_TRUE(typed.insert(family).second) << "repeated: " << line;
+      continue;
+    }
+    ++samples;
+    // A sample belongs to the family typed just above it.
+    ASSERT_FALSE(family.empty()) << line;
+    ASSERT_EQ(line.rfind(family, 0), 0u) << "outside its family: " << line;
+    const std::string rest = line.substr(family.size());
+    EXPECT_TRUE(rest[0] == '{' || rest[0] == ' ' ||
+                rest.rfind("_bucket", 0) == 0 || rest.rfind("_sum", 0) == 0 ||
+                rest.rfind("_count", 0) == 0)
+        << line;
+  }
+  EXPECT_GT(samples, typed.size());
+  EXPECT_EQ(typed.count("dprbg_t_first_total"), 1u);
+  EXPECT_EQ(typed.count("dprbg_beacon_committee_health"), 1u);
+}
+
+// The deployed shape: four TcpClusters of one TcpLoopback in one
+// process, each with its own views. Same-labelled samples merge, so the
+// snapshot sums to the nodes' own stats() and comm() exactly.
+TEST_F(TelemetryTest, TcpLoopbackViewsSumNodeLedgers) {
+  set_telemetry_enabled(true);
+  const int n = 4, t = 0;  // Coin-Gen's phase-king BA needs n > 4t
+  const std::uint64_t seed = 515;
+  const unsigned m = 2, batches = 2;
+  auto genesis = trusted_dealer_coins<F>(n, t, 4 * batches + 8, seed);
+  TcpLoopback loop(n, t, seed);
+  ASSERT_TRUE(loop.start());
+  std::vector<TcpCluster::Program> programs;
+  for (int i = 0; i < n; ++i) {
+    programs.push_back([&](TcpPartyIo& io) {
+      CoinPool<F> pool;
+      for (const auto& c : genesis[static_cast<std::size_t>(io.id())]) {
+        pool.add(c);
+      }
+      PipelineOptions opts;
+      opts.depth = 2;
+      const auto res = pipelined_coin_gen<F>(io, m, pool, batches, opts);
+      EXPECT_EQ(res.batches.size(), batches);
+      for (const auto& b : res.batches) EXPECT_TRUE(b.success);
+    });
+  }
+  loop.run(std::move(programs));
+  const MetricsSnapshot snap = metrics().snapshot();
+
+  std::set<std::pair<std::string, std::string>> keys;
+  for (const auto& s : snap.samples) {
+    EXPECT_TRUE(keys.insert({s.name, s.labels}).second)
+        << "duplicate sample " << s.name << "{" << s.labels << "}";
+  }
+
+  CommCounters comm;
+  TcpStats::PeerStats sum;
+  for (int i = 0; i < n; ++i) {
+    comm += loop.node(i).comm();
+    const TcpStats st = loop.node(i).stats();
+    for (int j = 0; j < n; ++j) {
+      if (j == i) continue;
+      const auto& ps = st.peers[static_cast<std::size_t>(j)];
+      sum.connects += ps.connects;
+      sum.reconnects += ps.reconnects;
+      sum.tx_bytes += ps.tx_bytes;
+      sum.rx_bytes += ps.rx_bytes;
+      const MetricSample* tx = snap.find(
+          "net_tcp_tx_bytes_total",
+          "node=" + std::to_string(i) + ",peer=" + std::to_string(j));
+      ASSERT_NE(tx, nullptr) << i << "->" << j;
+      EXPECT_EQ(tx->value, static_cast<std::int64_t>(ps.tx_bytes));
+    }
+    const MetricSample* pending =
+        snap.find("net_tcp_recv_pending", "node=" + std::to_string(i));
+    ASSERT_NE(pending, nullptr) << i;
+    EXPECT_EQ(pending->value, static_cast<std::int64_t>(st.recv_pending));
+  }
+  EXPECT_GT(sum.tx_bytes, 0u);
+  EXPECT_EQ(snap.sum_values("net_tcp_tx_bytes_total"),
+            static_cast<std::int64_t>(sum.tx_bytes));
+  EXPECT_EQ(snap.sum_values("net_tcp_rx_bytes_total"),
+            static_cast<std::int64_t>(sum.rx_bytes));
+  EXPECT_EQ(snap.sum_values("net_tcp_connects_total"),
+            static_cast<std::int64_t>(sum.connects));
+  EXPECT_EQ(snap.sum_values("net_tcp_reconnects_total"),
+            static_cast<std::int64_t>(sum.reconnects));
+  EXPECT_EQ(snap.sum_values("net_domain_messages_total"),
+            static_cast<std::int64_t>(comm.messages));
+  EXPECT_EQ(snap.sum_values("net_domain_bytes_total"),
+            static_cast<std::int64_t>(comm.bytes));
+  EXPECT_EQ(snap.sum_values("net_player_bytes_total"),
+            static_cast<std::int64_t>(comm.bytes));
+  EXPECT_EQ(snap.sum_values("net_stale_rejections_total"), 0);
+}
+
+// The lock-order hazard (run under TSan by tools/sanitize.sh): a thread
+// snapshots in a loop while a faulted Cluster bans a peer mid-run and a
+// HealthBoard evicts committees, so every collector runs against live
+// writers. The final snapshot still equals the ledgers exactly.
+TEST_F(TelemetryTest, SnapshotDuringBanningRunAndEvictionsIsSafe) {
+  set_telemetry_enabled(true);
+  const int n = 4, rounds = 12;
+  auto mgr = std::make_shared<MisbehaviorManager>(n);
+  FaultPlan plan;
+  plan.charge(1);
+  for (int r = 0; r + 1 < rounds; r += 2) {
+    plan.add(r, /*from=*/1, /*to=*/2, {FaultAction::kDelay, 1});
+  }
+  Cluster cluster(n, 1, /*seed=*/61);
+  cluster.set_fault_injector(
+      std::make_shared<FaultInjector>(std::move(plan)));
+  cluster.set_misbehavior_manager(mgr);
+  const unsigned committees = 4;
+  HealthBoard board(committees, /*batches=*/4, FailoverPolicy{});
+
+  std::atomic<bool> done{false};
+  std::atomic<int> snaps{0};
+  std::thread snapper([&] {
+    do {
+      const MetricsSnapshot s = metrics().snapshot();
+      if (s.find("net_domain_messages_total", "committee=0") != nullptr) {
+        snaps.fetch_add(1);
+      }
+    } while (!done.load());
+  });
+  std::thread evictor([&] {
+    for (unsigned c = 1; c < committees; ++c) {
+      board.mark_lagging(c);
+      board.report_batch_done(c, 0);
+      (void)board.may_launch(c, 1);
+      board.evict(c, 2, EvictionReason::kScripted);
+      (void)board.may_launch(c, 2);
+      board.note_degraded_window();
+    }
+  });
+  cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
+    for (int r = 0; r < rounds; ++r) {
+      io.send_all(make_tag(ProtoId::kApp, 0, r), {3, 1, 4});
+      io.sync();
+      // Three witnesses a round against player 0: banned mid-run.
+      if (io.id() != 0) io.note_decode_failure(0);
+    }
+  }));
+  evictor.join();
+  done.store(true);
+  snapper.join();
+  EXPECT_GT(snaps.load(), 0);
+
+  ASSERT_TRUE(mgr->banned(0));
+  EXPECT_GT(cluster.banned_suppressions(), 0u);
+  const MetricsSnapshot snap = metrics().snapshot();
+  EXPECT_EQ(snap.sum_values("net_domain_messages_total"),
+            static_cast<std::int64_t>(cluster.comm().messages));
+  EXPECT_EQ(snap.sum_values("net_decode_rejections_total"),
+            static_cast<std::int64_t>(cluster.decode_rejections()));
+  EXPECT_EQ(snap.sum_values("net_slow_envelopes_total"),
+            static_cast<std::int64_t>(cluster.slow_envelopes()));
+  EXPECT_EQ(snap.sum_values("net_fault_effects_total"),
+            static_cast<std::int64_t>(cluster.faults().total()));
+  EXPECT_EQ(snap.sum_values("net_banned_suppressed_total"),
+            static_cast<std::int64_t>(cluster.banned_suppressions()));
+  EXPECT_EQ(snap.sum_values("net_peer_bans_total"),
+            static_cast<std::int64_t>(mgr->totals().bans));
+  EXPECT_EQ(snap.sum_values("net_misbehavior_reports_total"),
+            static_cast<std::int64_t>(mgr->totals().reports));
+  const HealthCounters hc = board.counters();
+  EXPECT_EQ(hc.evictions, committees - 1);
+  const MetricSample* scripted =
+      snap.find("beacon_evictions_total", "reason=scripted");
+  ASSERT_NE(scripted, nullptr);
+  EXPECT_EQ(scripted->value, static_cast<std::int64_t>(hc.evictions));
+  EXPECT_EQ(snap.sum_values("beacon_lagging_total"),
+            static_cast<std::int64_t>(hc.lagging_transitions));
+  EXPECT_EQ(snap.sum_values("beacon_cancelled_batches_total"),
+            static_cast<std::int64_t>(hc.cancelled_batches));
+  EXPECT_EQ(snap.sum_values("beacon_degraded_windows_total"),
+            static_cast<std::int64_t>(hc.degraded_windows));
+  for (unsigned c = 0; c < committees; ++c) {
+    const MetricSample* h =
+        snap.find("beacon_committee_health", "committee=" + std::to_string(c));
+    ASSERT_NE(h, nullptr) << c;
+    EXPECT_EQ(h->value, static_cast<std::int64_t>(board.health(c))) << c;
+  }
 }
 
 TEST_F(TelemetryTest, BeaconStatusDistillsHealthBoard) {

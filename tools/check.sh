@@ -169,8 +169,15 @@ cmp "$tcp_dir/node0.out" "$tcp_dir/node2.out" || {
   echo "check.sh: nodes 0 and 2 disagree on beacon outputs" >&2
   exit 1
 }
-# The per-node transport telemetry snapshot must render cleanly.
+# The per-node transport telemetry snapshot must render cleanly, and its
+# per-player comm view must list every player of the 3-node roster.
 ./build/tools/metrics_report report "$tcp_dir/node0.metrics.jsonl" >/dev/null
+talkers="$(./build/tools/metrics_report top-talkers "$tcp_dir/node0.metrics.jsonl")"
+echo "$talkers"
+echo "$talkers" | grep -q '^3 player(s)' || {
+  echo "check.sh: dprbg_node snapshot does not list 3 players" >&2
+  exit 1
+}
 rm -rf "$tcp_dir"
 
 echo "=== [check] telemetry reconciliation gate ==="
@@ -195,6 +202,14 @@ trap 'rm -rf "$metrics_dir"' EXIT
 # The snapshots must render cleanly (no malformed lines -> exit 0).
 ./build/tools/metrics_report report "$metrics_dir/beacon.jsonl" >/dev/null
 ./build/tools/metrics_report top-talkers "$metrics_dir/beacon.jsonl" >/dev/null
+# Prometheus text format: one # TYPE line per metric family.
+dup_types="$(./build/tools/metrics_report prom "$metrics_dir/beacon.jsonl" \
+  | grep '^# TYPE' | sort | uniq -d)"
+if [[ -n "$dup_types" ]]; then
+  echo "check.sh: repeated # TYPE lines in the beacon Prometheus output:" >&2
+  echo "$dup_types" >&2
+  exit 1
+fi
 ./build/tools/metrics_report diff "$metrics_dir/pipeline.jsonl" \
   "$metrics_dir/beacon.jsonl" >/dev/null
 

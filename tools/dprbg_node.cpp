@@ -307,7 +307,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(st.stale_rejections),
                static_cast<unsigned long long>(st.decode_rejections));
   if (!cfg.metrics_path.empty()) {
-    node.publish_telemetry();
     if (!metrics().snapshot().write_json_file(cfg.metrics_path)) {
       std::fprintf(stderr, "dprbg_node: cannot write metrics to %s\n",
                    cfg.metrics_path.c_str());

@@ -12,8 +12,9 @@
 //       exit code only reflects parse failures.
 //   metrics_report top-talkers <snap.jsonl>
 //       Per-player communication ranked by bytes, from the
-//       net_player_{messages,bytes}_total counters that
-//       Cluster::publish_comm_telemetry emits.
+//       net_player_{messages,bytes}_total view of the lockstep core's
+//       per-player comm ledger (one row per player of the cluster; a TCP
+//       node's snapshot charges only its own player).
 //   metrics_report prom <snap.jsonl>
 //       Re-emit the snapshot in Prometheus text exposition format.
 
@@ -133,8 +134,8 @@ int print_top_talkers(const MetricsSnapshot& snap) {
   }
   if (talkers.empty()) {
     std::printf(
-        "no net_player_* counters in snapshot (was "
-        "Cluster::publish_comm_telemetry called?)\n");
+        "no net_player_* counters in snapshot (no cluster was alive "
+        "when it was taken)\n");
     return 0;
   }
   std::stable_sort(talkers.begin(), talkers.end(),
