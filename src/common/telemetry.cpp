@@ -129,6 +129,40 @@ void MetricsRegistry::remove_collector(std::uint64_t id) {
   std::erase_if(collectors_, [id](const auto& c) { return c.first == id; });
 }
 
+namespace {
+
+// Groups samples by name (families in first-appearance order, so
+// Prometheus gets one contiguous block per family) and merges samples
+// that share a (name, labels) pair: counters sum, gauges keep the
+// maximum. Live snapshots and snapshot files both pass through here.
+MetricsSnapshot grouped(std::vector<MetricSample> raw) {
+  std::map<std::string, std::size_t, std::less<>> family_of;
+  std::vector<std::vector<MetricSample>> families;
+  for (auto& s : raw) {
+    const auto [it, fresh] = family_of.try_emplace(s.name, families.size());
+    if (fresh) families.emplace_back();
+    auto& fam = families[it->second];
+    const auto same = std::find_if(fam.begin(), fam.end(), [&s](auto& x) {
+      return x.labels == s.labels;
+    });
+    if (same == fam.end()) {
+      fam.push_back(std::move(s));
+    } else if (s.type == MetricType::kCounter) {
+      same->value += s.value;
+    } else {
+      same->value = std::max(same->value, s.value);
+    }
+  }
+  MetricsSnapshot out;
+  out.samples.reserve(raw.size());
+  for (auto& fam : families) {
+    for (auto& s : fam) out.samples.push_back(std::move(s));
+  }
+  return out;
+}
+
+}  // namespace
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::vector<MetricSample> raw;
   {
@@ -169,33 +203,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     ViewSink sink(raw);
     for (const auto& [id, fn] : collectors_) fn(sink);
   }
-
-  // Group by name (families in first-appearance order, so Prometheus
-  // gets one contiguous block per family) and merge samples that share
-  // a (name, labels) pair: counters sum, gauges keep the maximum.
-  std::map<std::string, std::size_t, std::less<>> family_of;
-  std::vector<std::vector<MetricSample>> families;
-  for (auto& s : raw) {
-    const auto [it, fresh] = family_of.try_emplace(s.name, families.size());
-    if (fresh) families.emplace_back();
-    auto& fam = families[it->second];
-    const auto same = std::find_if(fam.begin(), fam.end(), [&s](auto& x) {
-      return x.labels == s.labels;
-    });
-    if (same == fam.end()) {
-      fam.push_back(std::move(s));
-    } else if (s.type == MetricType::kCounter) {
-      same->value += s.value;
-    } else {
-      same->value = std::max(same->value, s.value);
-    }
-  }
-  MetricsSnapshot out;
-  out.samples.reserve(raw.size());
-  for (auto& fam : families) {
-    for (auto& s : fam) out.samples.push_back(std::move(s));
-  }
-  return out;
+  return grouped(std::move(raw));
 }
 
 // ---------------------------------------------------------------------
@@ -372,20 +380,22 @@ bool MetricsSnapshot::write_json_file(const std::string& path) const {
 }
 
 MetricsSnapshot read_snapshot(std::istream& is, std::size_t* malformed) {
-  MetricsSnapshot out;
+  std::vector<MetricSample> raw;
   std::size_t bad = 0;
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     MetricSample s;
     if (from_json(line, s)) {
-      out.samples.push_back(std::move(s));
+      raw.push_back(std::move(s));
     } else {
       ++bad;
     }
   }
   if (malformed != nullptr) *malformed = bad;
-  return out;
+  // A file written by any producer (or concatenated, or reordered) gets
+  // the same grouping as a live snapshot.
+  return grouped(std::move(raw));
 }
 
 // ---------------------------------------------------------------------

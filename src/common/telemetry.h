@@ -247,7 +247,9 @@ struct MetricsSnapshot {
 };
 
 // Parses a whole snapshot stream, skipping blank lines; malformed lines
-// are counted in `*malformed` (if non-null) and dropped.
+// are counted in `*malformed` (if non-null) and dropped. The samples are
+// grouped and merged exactly as snapshot() does, whatever the file's
+// line order.
 MetricsSnapshot read_snapshot(std::istream& is,
                               std::size_t* malformed = nullptr);
 

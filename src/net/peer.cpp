@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -51,8 +52,8 @@ bool resolve_ipv4(const std::string& host, std::uint16_t port,
   return true;
 }
 
-// poll() one fd for `events`, EINTR-safe. Returns revents, or 0 on
-// timeout, or -1 on error.
+}  // namespace
+
 int poll_one(int fd, short events, int timeout_ms) {
   pollfd p{};
   p.fd = fd;
@@ -67,8 +68,6 @@ int poll_one(int fd, short events, int timeout_ms) {
     return p.revents;
   }
 }
-
-}  // namespace
 
 int tcp_listen_socket(const std::string& host, std::uint16_t port,
                       std::string* err) {
@@ -142,13 +141,18 @@ bool tcp_write_all(int fd, std::span<const std::uint8_t> data) {
   std::size_t off = 0;
   while (off < data.size()) {
     const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+      continue;
     }
-    if (n == 0) return false;
-    off += static_cast<std::size_t>(n);
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) return false;
+    // Send buffer full: wait for room, but a socket that takes no byte
+    // for kTcpWriteStallMs belongs to a peer that stopped reading.
+    const int rev =
+        poll_one(fd, POLLOUT, static_cast<int>(kTcpWriteStallMs));
+    if (rev <= 0 || (rev & POLLOUT) == 0) return false;
   }
   return true;
 }
@@ -215,106 +219,64 @@ TcpReadStatus tcp_read_frame(int fd, const std::atomic<bool>& stop,
 
 // ---------------------------------------------------------------------------
 
-TcpPeer::TcpPeer(int local_id, int remote_id, std::string host,
-                 std::uint16_t port, Role role, PeerOptions opts,
-                 PeerCallbacks cb)
-    : local_id_(local_id),
-      remote_id_(remote_id),
+TcpPeer::TcpPeer(int remote_id, std::string host, std::uint16_t port,
+                 Role role, HelloFrame local_hello, PeerCallbacks cb)
+    : remote_id_(remote_id),
       host_(std::move(host)),
       port_(port),
       role_(role),
-      opts_(std::move(opts)),
+      local_hello_(local_hello),
       cb_(std::move(cb)) {}
 
 TcpPeer::~TcpPeer() { stop(); }
 
 void TcpPeer::start() {
-  send_thread_ = std::thread([this] { send_loop(); });
-  if (role_ == Role::kDialer) {
-    conn_thread_ = std::thread([this] { dial_loop(); });
-  }
-}
-
-void TcpPeer::set_up(int fd, bool notify) {
-  {
-    std::lock_guard lk(mu_);
-    fd_ = fd;
-  }
-  const bool reconnect = connects_.fetch_add(1) > 0;
-  up_.store(true, std::memory_order_release);
-  cv_.notify_all();
-  if (notify && cb_.on_up) cb_.on_up(remote_id_, reconnect);
-}
-
-void TcpPeer::close_fd_locked() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-void TcpPeer::set_down(bool notify) {
-  bool was_up = up_.exchange(false, std::memory_order_acq_rel);
-  {
-    std::lock_guard lk(mu_);
-    close_fd_locked();
-    // Lockstep semantics: frames queued for a dead peer are garbage (the
-    // peer, if it ever comes back, restarts its protocol state).
-    dropped_.fetch_add(queue_.size(), std::memory_order_relaxed);
-    queue_.clear();
-  }
-  cv_.notify_all();
-  if (was_up && notify && cb_.on_down) cb_.on_down(remote_id_);
-}
-
-bool TcpPeer::enqueue(std::vector<std::uint8_t> frame) {
-  {
-    std::lock_guard lk(mu_);
-    if (up_.load(std::memory_order_acquire) &&
-        queue_.size() < opts_.max_queue_frames) {
-      queue_.push_back(std::move(frame));
-      cv_.notify_all();
-      return true;
+  thread_ = std::thread([this] {
+    if (role_ == Role::kDialer) {
+      dial_loop();
+    } else {
+      listen_loop();
     }
+  });
+}
+
+bool TcpPeer::send(std::span<const std::uint8_t> frame) {
+  std::lock_guard w(write_mu_);
+  int fd = -1;
+  {
+    std::lock_guard lk(mu_);
+    fd = fd_;
   }
+  if (fd >= 0 && tcp_write_all(fd, frame)) {
+    tx_frames_.fetch_add(1, std::memory_order_relaxed);
+    tx_bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
+    return true;
+  }
+  // A failed or stalled write cuts the link; the link thread observes
+  // the close and runs the teardown (it owns the on_down notification).
+  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   dropped_.fetch_add(1, std::memory_order_relaxed);
   return false;
 }
 
-void TcpPeer::flush(unsigned timeout_ms) {
-  std::unique_lock lk(mu_);
-  cv_.wait_for(lk, std::chrono::milliseconds(timeout_ms), [this] {
-    return queue_.empty() || !up_.load(std::memory_order_acquire) ||
-           stop_.load(std::memory_order_acquire);
-  });
-}
-
-void TcpPeer::send_loop() {
-  for (;;) {
-    std::vector<std::uint8_t> frame;
-    int fd = -1;
-    {
-      std::unique_lock lk(mu_);
-      cv_.wait(lk, [this] {
-        return stop_.load(std::memory_order_acquire) ||
-               (!queue_.empty() && fd_ >= 0);
-      });
-      if (stop_.load(std::memory_order_acquire)) return;
-      frame = std::move(queue_.front());
-      queue_.pop_front();
-      fd = fd_;
-      if (queue_.empty()) cv_.notify_all();  // wake flush() waiters
-    }
-    if (tcp_write_all(fd, frame)) {
-      tx_frames_.fetch_add(1, std::memory_order_relaxed);
-      tx_bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
-    } else {
-      // Write failure: shut the socket so the reader unblocks and runs
-      // the full teardown (it owns the on_down notification).
-      std::lock_guard lk(mu_);
-      if (fd_ == fd) ::shutdown(fd_, SHUT_RDWR);
-    }
+void TcpPeer::serve(int fd) {
+  connects_.fetch_add(1, std::memory_order_relaxed);
+  up_.store(true, std::memory_order_release);
+  if (cb_.on_up) cb_.on_up(remote_id_);
+  read_loop(fd);
+  up_.store(false, std::memory_order_release);
+  // Fail a writer stalled on this socket, then wait it out: the fd is
+  // closed only under the write mutex, so no write can land on a reused
+  // descriptor number.
+  ::shutdown(fd, SHUT_RDWR);
+  {
+    std::lock_guard w(write_mu_);
+    std::lock_guard lk(mu_);
+    ::close(fd);
+    fd_ = -1;
+  }
+  if (!stop_.load(std::memory_order_acquire) && cb_.on_down) {
+    cb_.on_down(remote_id_);
   }
 }
 
@@ -322,102 +284,93 @@ void TcpPeer::read_loop(int fd) {
   for (;;) {
     FrameType type{};
     std::vector<std::uint8_t> payload;
-    const TcpReadStatus st = tcp_read_frame(
-        fd, stop_, opts_.read_poll_ms, opts_.max_frame_bytes, &type, &payload);
-    if (st != TcpReadStatus::kOk) break;
+    const TcpReadStatus st = tcp_read_frame(fd, stop_, kTcpReadPollMs,
+                                            kTcpMaxFrameBytes, &type, &payload);
+    if (st != TcpReadStatus::kOk) return;
     rx_frames_.fetch_add(1, std::memory_order_relaxed);
     rx_bytes_.fetch_add(kTcpFramePrefixBytes + payload.size(),
                         std::memory_order_relaxed);
     if (cb_.on_frame) cb_.on_frame(remote_id_, type, std::move(payload));
   }
-  set_down(/*notify=*/!stop_.load(std::memory_order_acquire));
 }
 
 bool TcpPeer::dial_handshake(int fd) {
-  const auto hello =
-      frame_bytes(FrameType::kHello, encode_hello(opts_.local_hello));
-  if (!tcp_write_all(fd, hello)) {
-    if (cb_.on_reject) cb_.on_reject(remote_id_, HandshakeReject::kMalformed);
+  if (!tcp_write_all(fd, frame_bytes(FrameType::kHello,
+                                     encode_hello(local_hello_)))) {
     return false;
   }
   // Await the HelloAck, bounded by the handshake timeout.
   FrameType type{};
   std::vector<std::uint8_t> payload;
-  const TcpReadStatus st = tcp_read_frame(
-      fd, stop_, opts_.read_poll_ms, opts_.max_frame_bytes, &type, &payload,
-      opts_.handshake_timeout_ms);
+  const TcpReadStatus st =
+      tcp_read_frame(fd, stop_, kTcpReadPollMs, kTcpMaxFrameBytes, &type,
+                     &payload, kTcpHandshakeTimeoutMs);
   if (st == TcpReadStatus::kStopped) return false;
-  if (st != TcpReadStatus::kOk) {
-    // Listener closed on us (almost always a handshake reject on its
-    // side — roster/version mismatch) or went silent; count it.
-    rejects_.fetch_add(1, std::memory_order_relaxed);
-    if (cb_.on_reject) cb_.on_reject(remote_id_, HandshakeReject::kMalformed);
-    return false;
-  }
-  HandshakeReject why = HandshakeReject::kMalformed;
-  const auto ack = decode_hello(payload);
-  bool ok = false;
-  if (type != FrameType::kHelloAck || !ack) {
-    why = HandshakeReject::kMalformed;
-  } else if (ack->proto_version != opts_.local_hello.proto_version) {
-    why = HandshakeReject::kProtoVersion;
-  } else if (ack->wire_version != opts_.local_hello.wire_version) {
-    why = HandshakeReject::kWireVersion;
-  } else if (ack->roster_hash != opts_.local_hello.roster_hash) {
-    why = HandshakeReject::kRosterHash;
-  } else if (ack->node_id != static_cast<std::uint32_t>(remote_id_) ||
-             ack->n != opts_.local_hello.n) {
-    why = HandshakeReject::kBadId;
-  } else {
-    ok = true;
-  }
-  if (!ok) {
-    rejects_.fetch_add(1, std::memory_order_relaxed);
-    if (cb_.on_reject) cb_.on_reject(remote_id_, why);
-  }
+  // A close or silence from the listener is almost always a handshake
+  // reject on its side (roster/version mismatch); count it with the
+  // Acks we refuse ourselves.
+  const auto ack = st == TcpReadStatus::kOk && type == FrameType::kHelloAck
+                       ? decode_hello(payload)
+                       : std::nullopt;
+  const bool ok = ack && ack->proto_version == local_hello_.proto_version &&
+                  ack->wire_version == local_hello_.wire_version &&
+                  ack->roster_hash == local_hello_.roster_hash &&
+                  ack->node_id == static_cast<std::uint32_t>(remote_id_) &&
+                  ack->n == local_hello_.n;
+  if (!ok) rejects_.fetch_add(1, std::memory_order_relaxed);
   return ok;
 }
 
 void TcpPeer::dial_loop() {
-  unsigned backoff = opts_.backoff_initial_ms;
+  unsigned backoff = kTcpBackoffInitialMs;
   while (!stop_.load(std::memory_order_acquire)) {
-    const int fd =
-        tcp_connect_socket(host_, port_, opts_.connect_timeout_ms);
+    const int fd = tcp_connect_socket(host_, port_, kTcpConnectTimeoutMs);
     if (fd >= 0 && dial_handshake(fd)) {
-      backoff = opts_.backoff_initial_ms;
-      set_up(fd, /*notify=*/true);
-      read_loop(fd);  // returns when the connection dies (runs set_down)
-      continue;       // redial immediately after a lost connection
+      backoff = kTcpBackoffInitialMs;
+      {
+        std::lock_guard lk(mu_);
+        fd_ = fd;
+      }
+      serve(fd);  // returns when the connection dies
+      continue;   // redial immediately after a lost connection
     }
     if (fd >= 0) ::close(fd);
-    // Capped exponential backoff, sliced so stop() is responsive.
-    for (unsigned waited = 0;
-         waited < backoff && !stop_.load(std::memory_order_acquire);
-         waited += 10) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::unique_lock lk(mu_);
+    cv_.wait_for(lk, std::chrono::milliseconds(backoff),
+                 [this] { return stop_.load(std::memory_order_acquire); });
+    backoff = std::min(2 * backoff, kTcpBackoffMaxMs);
+  }
+}
+
+void TcpPeer::listen_loop() {
+  for (;;) {
+    int fd = -1;
+    {
+      std::unique_lock lk(mu_);
+      cv_.wait(lk, [this] {
+        return stop_.load(std::memory_order_acquire) || adopted_ >= 0;
+      });
+      if (stop_.load(std::memory_order_acquire)) return;
+      fd = fd_ = std::exchange(adopted_, -1);
     }
-    backoff = backoff >= opts_.backoff_max_ms / 2 ? opts_.backoff_max_ms
-                                                  : backoff * 2;
+    serve(fd);
   }
 }
 
 void TcpPeer::adopt(int fd) {
-  // Tear down any previous connection first so exactly one reader runs.
-  // Only shutdown() here — the old reader observes the failure, runs
-  // set_down (which closes the fd), and exits; closing from this thread
-  // while the reader is mid-recv would race on fd reuse.
+  set_nodelay(fd);
   {
     std::lock_guard lk(mu_);
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+    if (!stop_.load(std::memory_order_acquire)) {
+      // A newer accept supersedes one not yet picked up, and the live
+      // connection (if any) is cut so the link thread moves on to it.
+      if (adopted_ >= 0) ::close(adopted_);
+      adopted_ = std::exchange(fd, -1);
+      if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+    }
   }
-  if (recv_thread_.joinable()) recv_thread_.join();
-  if (stop_.load(std::memory_order_acquire)) {
-    ::close(fd);
-    return;
-  }
-  set_nodelay(fd);
-  set_up(fd, /*notify=*/true);
-  recv_thread_ = std::thread([this, fd] { read_loop(fd); });
+  if (fd >= 0) ::close(fd);
+  cv_.notify_all();
 }
 
 void TcpPeer::sever() {
@@ -426,21 +379,14 @@ void TcpPeer::sever() {
 }
 
 void TcpPeer::stop() {
-  if (stop_.exchange(true, std::memory_order_acq_rel)) {
-    // Idempotent: second caller still joins anything left (destructor
-    // after an explicit stop() finds the threads already joined).
-  }
   {
     std::lock_guard lk(mu_);
+    stop_.store(true, std::memory_order_release);
     if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+    if (adopted_ >= 0) ::close(std::exchange(adopted_, -1));
   }
   cv_.notify_all();
-  if (conn_thread_.joinable()) conn_thread_.join();
-  if (recv_thread_.joinable()) recv_thread_.join();
-  if (send_thread_.joinable()) send_thread_.join();
-  std::lock_guard lk(mu_);
-  close_fd_locked();
-  up_.store(false, std::memory_order_release);
+  if (thread_.joinable()) thread_.join();
 }
 
 }  // namespace dprbg

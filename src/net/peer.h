@@ -1,38 +1,43 @@
-// One remote node of the TCP transport: connection lifecycle, send
-// queue, and reader/sender threads.
+// One remote node of the TCP transport: its connection lifecycle on ONE
+// thread, and writes on the caller's thread.
 //
 // Roles are deterministic by index (the classic MPC party-loop shape):
 // between players i < j it is always j that dials and i that listens, so
 // every pair establishes exactly one connection and a restarted process
-// knows which direction to re-establish without negotiation. A
-// `TcpPeer` therefore runs in one of two modes:
+// knows which direction to re-establish without negotiation. Each
+// `TcpPeer` owns one link thread for its whole life:
 //
-//   * dialer  (remote id < local id): owns a connect thread that dials,
-//     handshakes (Hello -> HelloAck), then reads frames until the
-//     connection dies, then backs off (capped exponential) and redials —
-//     forever, until stop(). Every successful (re)connect is counted.
-//   * listener (remote id > local id): passive; the cluster's accept
-//     loop performs the listener half of the handshake and hands the
-//     socket over via adopt(), which (re)starts this peer's reader.
+//   * dialer  (remote id < local id): the thread dials, handshakes
+//     (Hello -> HelloAck), then reads frames until the connection dies,
+//     then backs off (capped exponential) and redials — forever, until
+//     stop(). Every successful (re)connect is counted.
+//   * listener (remote id > local id): the cluster's accept loop
+//     performs the listener half of the handshake and hands the socket
+//     over via adopt(); the thread waits for that socket, then reads
+//     frames until the connection dies, then waits for the next one.
 //
-// Sending is asynchronous in both modes: enqueue() appends a fully
-// framed byte string to the peer's queue and the sender thread drains it
-// in order. While the peer is down, frames are dropped and counted —
-// lockstep semantics treat a disconnected peer as crashed, so there is
-// nothing useful to buffer (a reconnected process restarts its protocol
-// state anyway; see DESIGN.md §16).
+// Sending is synchronous: send() writes one framed byte string to the
+// socket on the calling thread, under a per-peer write mutex that keeps
+// frames from concurrent callers (one per pipelined stream) whole.
+// Nothing is queued, so memory is bounded by the frame in hand. While the
+// peer is down, frames are dropped and counted — lockstep semantics
+// treat a disconnected peer as crashed, so there is nothing useful to
+// buffer (a reconnected process restarts its protocol state anyway; see
+// DESIGN.md §16). A write that makes no progress for kTcpWriteStallMs
+// (the peer stopped reading) severs the link, and the peer lapses
+// exactly as if it had crashed.
 //
 // Thread-safety: all public methods may be called from any thread. The
-// callbacks (on_frame/on_up/on_down/on_reject) fire on this peer's
-// reader/connect threads; the owning TcpCluster serializes its own state
-// behind its demux mutex.
+// callbacks (on_frame/on_up/on_down) fire on this peer's link thread;
+// the owning TcpCluster serializes its own state behind its demux mutex.
+// Lock order: the write mutex, then mu_. The socket is closed only with
+// both held, so a close never lands under an in-flight write.
 
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <span>
@@ -45,8 +50,28 @@
 namespace dprbg {
 
 // --------------------------------------------------------------------------
+// Transport timing (milliseconds).
+
+// Dialer: how long one connect() attempt may take.
+inline constexpr unsigned kTcpConnectTimeoutMs = 2000;
+// Either end: how long to wait for the peer's Hello / HelloAck.
+inline constexpr unsigned kTcpHandshakeTimeoutMs = 2000;
+// Poll granularity for reads (bounds stop() latency, not throughput).
+inline constexpr unsigned kTcpReadPollMs = 50;
+// Reconnect backoff: initial delay, doubled per consecutive failure,
+// capped. A successful handshake resets the ladder.
+inline constexpr unsigned kTcpBackoffInitialMs = 10;
+inline constexpr unsigned kTcpBackoffMaxMs = 1000;
+// A write that cannot hand the kernel a single byte for this long means
+// the peer stopped reading: the link is severed.
+inline constexpr unsigned kTcpWriteStallMs = 2000;
+
+// --------------------------------------------------------------------------
 // Small POSIX socket helpers shared by TcpPeer and the cluster's accept
 // loop. All of them are EINTR-safe and never throw.
+
+// poll() one fd for `events`. Returns revents, 0 on timeout, -1 on error.
+int poll_one(int fd, short events, int timeout_ms);
 
 // Creates a bound, listening TCP socket (SO_REUSEADDR). Returns -1 and
 // fills `err` on failure. `port` 0 binds an ephemeral port — read it
@@ -61,7 +86,8 @@ std::uint16_t tcp_local_port(int fd);
 int tcp_connect_socket(const std::string& host, std::uint16_t port,
                        unsigned timeout_ms);
 
-// Writes the whole buffer; false on any error.
+// Writes the whole buffer; false on any error, or when the socket takes
+// no byte for kTcpWriteStallMs.
 bool tcp_write_all(int fd, std::span<const std::uint8_t> data);
 
 enum class TcpReadStatus : std::uint8_t {
@@ -85,46 +111,24 @@ TcpReadStatus tcp_read_frame(int fd, const std::atomic<bool>& stop,
 
 // --------------------------------------------------------------------------
 
-struct PeerOptions {
-  // Dialer: how long one connect() attempt may take.
-  unsigned connect_timeout_ms = 2000;
-  // Dialer: how long to wait for the HelloAck after sending Hello.
-  unsigned handshake_timeout_ms = 2000;
-  // Poll granularity for reads (bounds stop() latency, not throughput).
-  unsigned read_poll_ms = 100;
-  // Reconnect backoff: initial delay, doubled per consecutive failure,
-  // capped. A successful handshake resets the ladder.
-  unsigned backoff_initial_ms = 10;
-  unsigned backoff_max_ms = 1000;
-  // Largest acceptable frame (see kTcpMaxFrameBytes).
-  std::size_t max_frame_bytes = kTcpMaxFrameBytes;
-  // Send-queue cap in frames; beyond it new frames are dropped+counted
-  // (an honest lockstep sender never gets close — the window is bounded
-  // by the pipeline depth).
-  std::size_t max_queue_frames = 1u << 16;
-  // What we send in our Hello and require of the peer's Hello/Ack.
-  HelloFrame local_hello;
-};
-
 struct PeerCallbacks {
-  // A fully read frame from this peer (reader thread context).
+  // A fully read frame from this peer (link thread context).
   std::function<void(int peer, FrameType, std::vector<std::uint8_t>)>
       on_frame;
-  // Connection established (handshake complete). `reconnect` is true
-  // for every connect after the first.
-  std::function<void(int peer, bool reconnect)> on_up;
-  // Connection lost (EOF, error, oversized frame, or stop()).
+  // Connection established (handshake complete).
+  std::function<void(int peer)> on_up;
+  // Connection lost (EOF, error, oversized frame, stalled write, sever).
   std::function<void(int peer)> on_down;
-  // Dialer-side handshake rejection (listener closed or sent a bad Ack).
-  std::function<void(int peer, HandshakeReject)> on_reject;
 };
 
 class TcpPeer {
  public:
   enum class Role : std::uint8_t { kDialer = 0, kListener = 1 };
 
-  TcpPeer(int local_id, int remote_id, std::string host, std::uint16_t port,
-          Role role, PeerOptions opts, PeerCallbacks cb);
+  // `local_hello` is what we send in our Hello and require of the
+  // peer's HelloAck (dialer role).
+  TcpPeer(int remote_id, std::string host, std::uint16_t port, Role role,
+          HelloFrame local_hello, PeerCallbacks cb);
   ~TcpPeer();
   TcpPeer(const TcpPeer&) = delete;
   TcpPeer& operator=(const TcpPeer&) = delete;
@@ -132,29 +136,27 @@ class TcpPeer {
   [[nodiscard]] int remote_id() const { return remote_id_; }
   [[nodiscard]] Role role() const { return role_; }
 
-  // Starts the sender thread, and (dialer role) the connect thread.
+  // Starts the link thread.
   void start();
 
-  // Listener role: installs an accepted, fully handshaken socket and
-  // (re)starts the reader. Any previous connection is torn down first.
+  // Listener role: hands an accepted, fully handshaken socket to the
+  // link thread. Any previous connection is torn down first. Never
+  // blocks on the link thread.
   void adopt(int fd);
 
-  // Queues one framed byte string for ordered delivery. Returns false
-  // (and counts a drop) when the peer is down or the queue is full.
-  bool enqueue(std::vector<std::uint8_t> frame);
+  // Writes one framed byte string on the calling thread. Returns false
+  // (and counts a drop) when the peer is down or the write failed; a
+  // failed or stalled write also severs the link.
+  bool send(std::span<const std::uint8_t> frame);
 
-  // Blocks until the send queue has drained, the peer went down, or
-  // `timeout_ms` elapsed. Used to linger long enough for final round
-  // frames and the Bye to reach the wire.
-  void flush(unsigned timeout_ms);
-
-  // Drops the current connection (the reader observes the failure and
-  // runs the normal teardown) without stopping the peer: the demux uses
-  // this to cut off a peer that violated the framing protocol. A dialer
-  // will redial after backoff; a listener waits for a fresh accept.
+  // Drops the current connection (the link thread observes the failure
+  // and runs the normal teardown) without stopping the peer: the demux
+  // uses this to cut off a peer that violated the framing protocol. A
+  // dialer will redial after backoff; a listener waits for a fresh
+  // accept.
   void sever();
 
-  // Tears the connection down and joins every thread. Idempotent.
+  // Tears the connection down and joins the link thread. Idempotent.
   void stop();
 
   [[nodiscard]] bool up() const {
@@ -177,35 +179,29 @@ class TcpPeer {
   [[nodiscard]] std::uint64_t dropped_frames() const {
     return dropped_.load();
   }
-  [[nodiscard]] std::size_t queue_depth() const {
-    std::lock_guard lk(mu_);
-    return queue_.size();
-  }
 
  private:
-  void dial_loop();                    // dialer connect/handshake/read loop
-  bool dial_handshake(int fd);         // Hello -> HelloAck; false = reject
-  void read_loop(int fd);              // frames -> on_frame until error
-  void send_loop();                    // drains queue_ in order
-  void set_up(int fd, bool notify);    // install fd, fire on_up
-  void set_down(bool notify);          // drop fd, fire on_down
-  void close_fd_locked();              // with mu_ held
+  void dial_loop();             // dialer: dial, handshake, read, back off
+  void listen_loop();           // listener: await adopt(), read
+  bool dial_handshake(int fd);  // Hello -> HelloAck; false = reject
+  // Installs a live socket (false if stop() came first), reads frames
+  // into on_frame until the connection dies, then tears it down.
+  void serve(int fd);
+  void read_loop(int fd);
 
-  const int local_id_;
   const int remote_id_;
   const std::string host_;
   const std::uint16_t port_;
   const Role role_;
-  const PeerOptions opts_;
+  const HelloFrame local_hello_;
   const PeerCallbacks cb_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;  // queue + fd-state changes
-  int fd_ = -1;
-  std::deque<std::vector<std::uint8_t>> queue_;
-  std::thread conn_thread_;  // dialer only
-  std::thread recv_thread_;  // listener only (re-spawned per adopt)
-  std::thread send_thread_;
+  std::mutex write_mu_;  // one writer at a time; held to close fd_
+  std::mutex mu_;        // fd_, adopted_, stop_ transitions
+  std::condition_variable cv_;  // adopted_ / stop_ changes
+  int fd_ = -1;       // the live socket; cleared only under both mutexes
+  int adopted_ = -1;  // listener: accepted socket not yet picked up
+  std::thread thread_;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> up_{false};

@@ -24,21 +24,6 @@ namespace {
 // make us allocate.
 constexpr std::uint32_t kTcpMaxStreamId = 0xFFFF;
 
-int poll_one(int fd, short events, int timeout_ms) {
-  pollfd p{};
-  p.fd = fd;
-  p.events = events;
-  for (;;) {
-    const int rc = ::poll(&p, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (rc == 0) return 0;
-    return p.revents;
-  }
-}
-
 }  // namespace
 
 std::uint64_t roster_hash(int n, int t,
@@ -85,6 +70,8 @@ TcpCluster::TcpCluster(int id, int n, int t, std::uint64_t seed,
 TcpCluster::~TcpCluster() {
   stop_.store(true, std::memory_order_release);
   cv_.notify_all();
+  // Wakes the accept loop's poll at once instead of at its next slice.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   for (auto& p : peers_) {
     if (p != nullptr) p->stop();
@@ -106,24 +93,19 @@ bool TcpCluster::start() {
   }
   listen_port_ = tcp_local_port(listen_fd_);
 
-  PeerOptions popts;
-  popts.connect_timeout_ms = opts_.connect_timeout_ms;
-  popts.handshake_timeout_ms = opts_.handshake_timeout_ms;
-  popts.read_poll_ms = opts_.read_poll_ms;
-  popts.backoff_initial_ms = opts_.backoff_initial_ms;
-  popts.backoff_max_ms = opts_.backoff_max_ms;
-  popts.local_hello.proto_version = kTcpProtoVersion;
-  popts.local_hello.wire_version = static_cast<std::uint8_t>(wire_version());
-  popts.local_hello.roster_hash = roster_hash_;
-  popts.local_hello.node_id = static_cast<std::uint32_t>(id_);
-  popts.local_hello.n = static_cast<std::uint32_t>(n());
+  HelloFrame hello;
+  hello.proto_version = kTcpProtoVersion;
+  hello.wire_version = static_cast<std::uint8_t>(wire_version());
+  hello.roster_hash = roster_hash_;
+  hello.node_id = static_cast<std::uint32_t>(id_);
+  hello.n = static_cast<std::uint32_t>(n());
 
   PeerCallbacks cb;
   cb.on_frame = [this](int peer, FrameType type,
                        std::vector<std::uint8_t> payload) {
     on_frame(peer, type, std::move(payload));
   };
-  cb.on_up = [this](int, bool) { on_peer_up(); };
+  cb.on_up = [this](int) { on_peer_up(); };
   cb.on_down = [this](int peer) { on_peer_down(peer); };
 
   {
@@ -133,8 +115,8 @@ bool TcpCluster::start() {
       const auto role =
           j < id_ ? TcpPeer::Role::kDialer : TcpPeer::Role::kListener;
       peers_[static_cast<std::size_t>(j)] = std::make_unique<TcpPeer>(
-          id_, j, roster_[static_cast<std::size_t>(j)].host,
-          roster_[static_cast<std::size_t>(j)].port, role, popts, cb);
+          j, roster_[static_cast<std::size_t>(j)].host,
+          roster_[static_cast<std::size_t>(j)].port, role, hello, cb);
     }
   }
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -173,8 +155,8 @@ bool TcpCluster::accept_handshake(int fd) {
   FrameType type{};
   std::vector<std::uint8_t> payload;
   const TcpReadStatus st =
-      tcp_read_frame(fd, stop_, opts_.read_poll_ms, kTcpMaxFrameBytes, &type,
-                     &payload, opts_.handshake_timeout_ms);
+      tcp_read_frame(fd, stop_, kTcpReadPollMs, kTcpMaxFrameBytes, &type,
+                     &payload, kTcpHandshakeTimeoutMs);
   HandshakeReject why = HandshakeReject::kMalformed;
   int peer = -1;
   if (st == TcpReadStatus::kOk && type == FrameType::kHello) {
@@ -320,15 +302,15 @@ void TcpCluster::link_sync(PartyIo& io) {
     outgoing[static_cast<std::size_t>(env.to)].push_back(std::move(env.msg));
   }
   io.staged_.clear();
-  // Ship one bundle per peer — empty ones included; they are the round
-  // barrier markers. A bundle for a down peer is dropped by the peer's
-  // queue (and the peer is or becomes lapsed, so the barrier will not
+  // Write one bundle per peer on this thread — empty ones included;
+  // they are the round barrier markers. A bundle for a down peer is
+  // dropped (and the peer is or becomes lapsed, so the barrier will not
   // wait for its half either).
   for (int j = 0; j < n; ++j) {
     if (j == id_) continue;
     const auto payload = encode_round_frame(
         stream, round, outgoing[static_cast<std::size_t>(j)]);
-    peers_[static_cast<std::size_t>(j)]->enqueue(
+    peers_[static_cast<std::size_t>(j)]->send(
         frame_bytes(FrameType::kRound, payload));
   }
 
@@ -394,22 +376,19 @@ void TcpCluster::run(const Program& program) {
   } catch (...) {
     err = std::current_exception();
   }
-  // Announce completion and linger: peers must not wait on our barriers
-  // (kBye), and the final round frames must reach the wire before the
-  // sockets die. This runs on the exception path too — a crashed program
-  // is exactly when remote barriers most need the release.
+  // Announce completion: peers must not wait on our barriers (kBye).
+  // This runs on the exception path too — a crashed program is exactly
+  // when remote barriers most need the release.
+  const auto bye = frame_bytes(FrameType::kBye, {});
   for (auto& p : peers_) {
-    if (p != nullptr) p->enqueue(frame_bytes(FrameType::kBye, {}));
-  }
-  for (auto& p : peers_) {
-    if (p != nullptr) p->flush(opts_.drain_timeout_ms);
+    if (p != nullptr) p->send(bye);
   }
   {
-    // Our send queues being empty says nothing about the peers' ends of
-    // the run: wait until each peer has said Bye or lapsed (lapses are
-    // only latched while running_), so the run is over on every link.
+    // Our Bye says nothing about the peers' ends of the run: wait until
+    // each peer has said Bye or lapsed (lapses are only latched while
+    // running_), so the run is over on every link.
     std::unique_lock lk(mu_);
-    cv_.wait_for(lk, std::chrono::milliseconds(opts_.drain_timeout_ms), [&] {
+    cv_.wait_for(lk, std::chrono::milliseconds(kTcpDrainTimeoutMs), [&] {
       for (int j = 0; j < n(); ++j) {
         if (j != id_ && !bye_[static_cast<std::size_t>(j)] &&
             !lapsed_[static_cast<std::size_t>(j)]) {

@@ -34,10 +34,15 @@
 // transport one. A peer that finishes its program cleanly announces it
 // with a kBye frame — the graceful twin of lapsing.
 //
-// Thread model: n-1 peer reader threads + 1 accept thread feed the
-// demux under one mutex; any number of protocol threads (the pipelined
-// scheduler drives one stream per worker) block in sync() on the same
-// mutex's condition variable. See DESIGN.md §16.
+// Thread model: n threads per node — one link thread per peer (dial or
+// await the accepted socket, then read frames into the demux under one
+// mutex) and one accept thread. Round frames are written on the protocol
+// thread that calls sync(); any number of protocol threads (the
+// pipelined scheduler drives one stream per worker) write under each
+// peer's write mutex and block in sync() on the demux mutex's condition
+// variable. A peer that stops reading stalls a write for at most
+// kTcpWriteStallMs; then its link is severed and it lapses, so memory
+// stays bounded. See DESIGN.md §16.
 
 #pragma once
 
@@ -77,21 +82,16 @@ struct TcpNodeAddr {
                                         const std::vector<TcpNodeAddr>& roster);
 
 struct TcpClusterOptions {
-  unsigned connect_timeout_ms = 2000;
-  unsigned handshake_timeout_ms = 2000;
-  unsigned read_poll_ms = 50;
-  unsigned backoff_initial_ms = 10;
-  unsigned backoff_max_ms = 1000;
   // start(): how long to wait for every peer link to come up.
   unsigned start_timeout_ms = 15000;
-  // End of run(): how long to linger so our final round frames + Bye
-  // drain, and then how long to wait for every peer's Bye.
-  unsigned drain_timeout_ms = 2000;
   // Pre-bound listen socket (the in-process loopback harness binds all
   // n ephemeral ports before any roster hash is computed); -1 binds
   // roster[id] internally.
   int listen_fd = -1;
 };
+
+// End of run(): how long to wait for every peer's Bye.
+inline constexpr unsigned kTcpDrainTimeoutMs = 2000;
 
 // One process owns only its own player's handles: the shared PartyIo.
 using TcpPartyIo = PartyIo;
@@ -158,12 +158,12 @@ class TcpCluster : private LockstepCore {
   [[nodiscard]] bool start();
 
   // Runs this player's program to completion on the calling thread,
-  // then announces kBye, drains the send queues, and waits (at most
-  // drain_timeout_ms) until every peer has said Bye or lapsed, so
+  // then announces kBye and waits (at most kTcpDrainTimeoutMs) until
+  // every peer has said Bye or lapsed, so
   // stats() afterwards reflects every peer's end of run. One run per
   // cluster (a returned program told every peer it is done — rejoin is
   // an epoch concern, not a transport one). Exceptions propagate after
-  // the Bye/drain so remote barriers are not deadlocked by our crash.
+  // the Bye so remote barriers are not deadlocked by our crash.
   void run(const Program& program);
 
   // The root-stream handle (valid after construction; protocols open
@@ -243,7 +243,7 @@ class TcpCluster : private LockstepCore {
   Histogram* tel_barrier_wait_ = nullptr;
 
   // peers_[j] for j != id_; [id_] stays null (filled by start() under
-  // mu_). Declared after everything their reader threads touch.
+  // mu_). Declared after everything their link threads touch.
   std::vector<std::unique_ptr<TcpPeer>> peers_;
   std::thread accept_thread_;
   CollectorHandle collector_ =

@@ -3,18 +3,24 @@
 // BIT-FOR-BIT the same outputs and comm ledgers as over the simulated
 // Cluster at the same (n, t, seed) — plus the transport-only behaviors
 // the simulator has no analog for: reconnect with backoff, mid-run peer
-// kill (lapse latching), and handshake rejection of misconfigured or
-// hostile dialers.
+// kill (lapse latching), handshake rejection of misconfigured or
+// hostile dialers, a peer that stops reading (bounded memory: the stalled
+// write severs the link), and the one-thread-per-link thread budget.
 
 #include "net/tcp_cluster.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -443,9 +449,7 @@ TEST(TcpClusterTest, SeverBeforeRunReconnectsTransparently) {
   const std::vector<int> uniform(static_cast<std::size_t>(n), rounds);
   const EchoRun sim = run_sim_echo(n, t, seed, uniform);
 
-  TcpClusterOptions opts;
-  opts.backoff_initial_ms = 5;
-  TcpLoopback loop(n, t, seed, opts);
+  TcpLoopback loop(n, t, seed);
   ASSERT_TRUE(loop.start());
 
   // Cut the (0, 1) link before the run starts (node 1 is the dialer).
@@ -625,7 +629,6 @@ TEST(TcpClusterTest, StartFailsClosedAgainstMismatchedRoster) {
   };
   TcpClusterOptions opts;
   opts.start_timeout_ms = 600;
-  opts.backoff_initial_ms = 5;
   TcpClusterOptions opts0 = opts;
   opts0.listen_fd = fd0;
   TcpClusterOptions opts1 = opts;
@@ -648,6 +651,99 @@ TEST(TcpClusterTest, StartFailsClosedAgainstMismatchedRoster) {
                 HandshakeReject::kRosterHash)],
             1u);
   EXPECT_GE(b.stats().peers[0].handshake_rejects, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Resource bounds: a peer that stops reading, and the thread budget.
+// ---------------------------------------------------------------------
+
+// A handshaken peer that never reads: node 0's round writes fill the
+// socket buffers and stall; after kTcpWriteStallMs the link is severed
+// and the peer lapses like a crash, so node 0 holds only the frame in
+// hand instead of queueing every round for a reader that never comes.
+TEST(TcpClusterTest, NonReadingPeerLapsesInsteadOfQueueing) {
+  constexpr int kRounds = 16;
+  constexpr std::size_t kPayload = 1u << 20;  // 16 MiB over the run
+  std::string err;
+  const int fd0 = tcp_listen_socket("127.0.0.1", 0, &err);
+  ASSERT_GE(fd0, 0) << err;
+  // Node 1 dials node 0 and is never dialed, so its port is never used.
+  const std::vector<TcpNodeAddr> roster = {
+      {"127.0.0.1", tcp_local_port(fd0)}, {"127.0.0.1", 1}};
+  TcpClusterOptions opts;
+  opts.listen_fd = fd0;
+  TcpCluster node(0, 2, /*t=*/0, /*seed=*/9, roster, opts);
+  bool started = false;
+  std::thread starter([&] { started = node.start(); });
+
+  // The raw peer: a small receive buffer, set before connect() so the
+  // advertised window stays small.
+  const int raw = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(raw, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(raw, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(roster[0].port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  HelloFrame hello;
+  hello.wire_version = static_cast<std::uint8_t>(wire_version());
+  hello.roster_hash = roster_hash(2, 0, roster);
+  hello.node_id = 1;
+  hello.n = 2;
+  ASSERT_TRUE(
+      tcp_write_all(raw, frame_bytes(FrameType::kHello, encode_hello(hello))));
+  const std::atomic<bool> never{false};
+  FrameType type{};
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(tcp_read_frame(raw, never, 50, kTcpMaxFrameBytes, &type,
+                           &payload, 2000),
+            TcpReadStatus::kOk);
+  ASSERT_EQ(type, FrameType::kHelloAck);
+  // Empty barrier bundles for every round, then silence: never read.
+  for (int r = 0; r < kRounds; ++r) {
+    ASSERT_TRUE(tcp_write_all(
+        raw, frame_bytes(FrameType::kRound,
+                         encode_round_frame(0, static_cast<std::uint64_t>(r),
+                                            {}))));
+  }
+  starter.join();
+  ASSERT_TRUE(started);
+
+  node.run([&](TcpPartyIo& io) {
+    for (int r = 0; r < kRounds; ++r) {
+      io.send(1, kTag, std::vector<std::uint8_t>(kPayload,
+                                                 static_cast<std::uint8_t>(r)));
+      io.sync();
+    }
+  });
+  const TcpStats st = node.stats();
+  EXPECT_TRUE(st.peers[1].lapsed);
+  EXPECT_FALSE(st.peers[1].bye);
+  EXPECT_GE(st.peers[1].dropped_frames, 1u);
+  ::close(raw);
+}
+
+unsigned count_threads() {
+  unsigned count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+// Each node runs one thread per peer link plus its accept thread:
+// (n-1) + 1 = n threads, so n nodes add at most n*n.
+TEST(TcpClusterTest, OneThreadPerPeerLink) {
+  const int n = 7;
+  const unsigned before = count_threads();
+  TcpLoopback loop(n, /*t=*/1, /*seed=*/21);
+  ASSERT_TRUE(loop.start());
+  EXPECT_LE(count_threads() - before, static_cast<unsigned>(n * n));
 }
 
 }  // namespace

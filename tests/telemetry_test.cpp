@@ -454,6 +454,37 @@ TEST_F(TelemetryTest, MisbehaviorCountersReconcileWithClusterAndManager) {
 // Views from two committees and interleaved pushed instruments: the
 // snapshot groups every family, so the Prometheus text has one # TYPE
 // line per family and each family's samples in one contiguous block.
+// Renders `snap` as Prometheus text and checks that every family has
+// exactly one `# TYPE` line with all its samples directly below it.
+// Returns the typed families; `*samples` counts the sample lines.
+std::set<std::string> prometheus_families(const MetricsSnapshot& snap,
+                                          std::size_t* samples) {
+  std::ostringstream os;
+  snap.write_prometheus(os);
+  std::istringstream lines(os.str());
+  std::set<std::string> typed;
+  std::string family;
+  std::string line;
+  *samples = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      family = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_TRUE(typed.insert(family).second) << "repeated: " << line;
+      continue;
+    }
+    ++*samples;
+    // A sample belongs to the family typed just above it.
+    EXPECT_FALSE(family.empty()) << line;
+    EXPECT_EQ(line.rfind(family, 0), 0u) << "outside its family: " << line;
+    const std::string rest = line.substr(family.size());
+    EXPECT_TRUE(rest[0] == '{' || rest[0] == ' ' ||
+                rest.rfind("_bucket", 0) == 0 || rest.rfind("_sum", 0) == 0 ||
+                rest.rfind("_count", 0) == 0)
+        << line;
+  }
+  return typed;
+}
+
 TEST_F(TelemetryTest, PrometheusEmitsEachFamilyOnceAndContiguously) {
   set_telemetry_enabled(true);
   // Registration interleaved by committee, the pattern that used to
@@ -487,32 +518,45 @@ TEST_F(TelemetryTest, PrometheusEmitsEachFamilyOnceAndContiguously) {
   EXPECT_EQ(snap.sum_values("net_domain_messages_total"),
             static_cast<std::int64_t>(cluster.comm().messages));
 
-  std::ostringstream os;
-  snap.write_prometheus(os);
-  std::istringstream lines(os.str());
-  std::set<std::string> typed;
-  std::string family;
-  std::string line;
   std::size_t samples = 0;
-  while (std::getline(lines, line)) {
-    if (line.rfind("# TYPE ", 0) == 0) {
-      family = line.substr(7, line.find(' ', 7) - 7);
-      EXPECT_TRUE(typed.insert(family).second) << "repeated: " << line;
-      continue;
-    }
-    ++samples;
-    // A sample belongs to the family typed just above it.
-    ASSERT_FALSE(family.empty()) << line;
-    ASSERT_EQ(line.rfind(family, 0), 0u) << "outside its family: " << line;
-    const std::string rest = line.substr(family.size());
-    EXPECT_TRUE(rest[0] == '{' || rest[0] == ' ' ||
-                rest.rfind("_bucket", 0) == 0 || rest.rfind("_sum", 0) == 0 ||
-                rest.rfind("_count", 0) == 0)
-        << line;
-  }
+  const std::set<std::string> typed = prometheus_families(snap, &samples);
   EXPECT_GT(samples, typed.size());
   EXPECT_EQ(typed.count("dprbg_t_first_total"), 1u);
   EXPECT_EQ(typed.count("dprbg_beacon_committee_health"), 1u);
+}
+
+// A snapshot file need not be grouped: concatenated or reordered JSONL
+// (here, each family's samples interleaved with another's, and one
+// counter repeated) reads back grouped and merged like a live snapshot,
+// so the Prometheus text still types each family once.
+TEST_F(TelemetryTest, ReadSnapshotGroupsInterleavedFamilies) {
+  std::istringstream is(
+      "{\"name\":\"a_total\",\"labels\":\"node=0\",\"type\":\"counter\","
+      "\"value\":1}\n"
+      "{\"name\":\"b_level\",\"labels\":\"node=0\",\"type\":\"gauge\","
+      "\"value\":4}\n"
+      "{\"name\":\"a_total\",\"labels\":\"node=1\",\"type\":\"counter\","
+      "\"value\":2}\n"
+      "{\"name\":\"b_level\",\"labels\":\"node=1\",\"type\":\"gauge\","
+      "\"value\":5}\n"
+      "{\"name\":\"a_total\",\"labels\":\"node=0\",\"type\":\"counter\","
+      "\"value\":3}\n");
+  std::size_t malformed = 9;
+  const MetricsSnapshot snap = read_snapshot(is, &malformed);
+  EXPECT_EQ(malformed, 0u);
+  ASSERT_EQ(snap.samples.size(), 4u);
+  EXPECT_EQ(snap.samples[0].name, "a_total");
+  EXPECT_EQ(snap.samples[1].name, "a_total");
+  EXPECT_EQ(snap.samples[2].name, "b_level");
+  EXPECT_EQ(snap.samples[3].name, "b_level");
+  ASSERT_NE(snap.find("a_total", "node=0"), nullptr);
+  EXPECT_EQ(snap.find("a_total", "node=0")->value, 4);
+  EXPECT_EQ(snap.sum_values("a_total"), 6);
+
+  std::size_t samples = 0;
+  const std::set<std::string> typed = prometheus_families(snap, &samples);
+  EXPECT_EQ(typed, (std::set<std::string>{"dprbg_a_total", "dprbg_b_level"}));
+  EXPECT_EQ(samples, 4u);
 }
 
 // The deployed shape: four TcpClusters of one TcpLoopback in one

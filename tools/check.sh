@@ -202,14 +202,21 @@ trap 'rm -rf "$metrics_dir"' EXIT
 # The snapshots must render cleanly (no malformed lines -> exit 0).
 ./build/tools/metrics_report report "$metrics_dir/beacon.jsonl" >/dev/null
 ./build/tools/metrics_report top-talkers "$metrics_dir/beacon.jsonl" >/dev/null
-# Prometheus text format: one # TYPE line per metric family.
-dup_types="$(./build/tools/metrics_report prom "$metrics_dir/beacon.jsonl" \
-  | grep '^# TYPE' | sort | uniq -d)"
-if [[ -n "$dup_types" ]]; then
-  echo "check.sh: repeated # TYPE lines in the beacon Prometheus output:" >&2
-  echo "$dup_types" >&2
-  exit 1
-fi
+# Prometheus text format: one # TYPE line per metric family, also for a
+# snapshot file whose lines are not grouped by family. The interleaved
+# copy (odd lines, then even lines) splits every multi-sample family; a
+# reversed copy would not, since reversal keeps each family contiguous.
+awk 'NR % 2 == 1' "$metrics_dir/beacon.jsonl" >"$metrics_dir/beacon_interleaved.jsonl"
+awk 'NR % 2 == 0' "$metrics_dir/beacon.jsonl" >>"$metrics_dir/beacon_interleaved.jsonl"
+for snapshot in beacon.jsonl beacon_interleaved.jsonl; do
+  dup_types="$(./build/tools/metrics_report prom "$metrics_dir/$snapshot" \
+    | grep '^# TYPE' | sort | uniq -d)"
+  if [[ -n "$dup_types" ]]; then
+    echo "check.sh: repeated # TYPE lines in the Prometheus output of $snapshot:" >&2
+    echo "$dup_types" >&2
+    exit 1
+  fi
+done
 ./build/tools/metrics_report diff "$metrics_dir/pipeline.jsonl" \
   "$metrics_dir/beacon.jsonl" >/dev/null
 
