@@ -32,15 +32,12 @@ struct Row {
 Row measure(int n, int t, unsigned m, std::uint64_t seed) {
   auto coins = trusted_dealer_coins<F>(n, t, 1, seed);
   Chacha dealer_rng(seed, 777);
-  std::vector<Polynomial<F>> polys;
-  for (unsigned j = 0; j < m; ++j) {
-    polys.push_back(Polynomial<F>::random(t, dealer_rng));
-  }
+  const auto polys = CoeffMatrix<F>::random(t, m, dealer_rng);
+  const CoeffMatrix<F> none;
   Cluster cluster(n, t, seed);
   const auto start = std::chrono::steady_clock::now();
   cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::span<const Polynomial<F>> mine;
-    if (io.id() == 0) mine = polys;
+    const CoeffMatrix<F>& mine = io.id() == 0 ? polys : none;
     (void)bit_gen_single<F>(io, 0, m, t, mine, coins[io.id()][0]);
   }));
   const auto stop = std::chrono::steady_clock::now();

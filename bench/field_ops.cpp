@@ -14,8 +14,10 @@
 //
 // --sweep-M (E20, DESIGN.md §14) switches to the wide-batch kernel
 // sweep: Z_q mul/butterfly (Zq::mul loop vs the NTT's Barrett loop),
-// GF(2^64) software vs hardware CLMUL, the blocked Horner combine, and
-// the NTT-vs-schoolbook crossover, at M = 4 ... 4096. Every kernel
+// GF(2^64) software vs hardware CLMUL, the blocked Horner combine, the
+// dealer's flat Horner evaluation, and the NTT-vs-schoolbook crossover,
+// at M = 4 ... 4096; then the Berlekamp-Welch decoder's interpolate-
+// first path against elimination at n = 7 ... 61. Every kernel
 // timing is hard-asserted against the reference output in-run. --json emits one JSON row per table line
 // (BENCH_field_kernels.json is this output verbatim); --smoke trims the
 // M list for CI.
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -33,8 +36,11 @@
 #include "gf/fft_field.h"
 #include "gf/gf2.h"
 #include "gf/zq.h"
+#include "poly/berlekamp_welch.h"
 #include "poly/interpolate.h"
+#include "poly/polynomial.h"
 #include "rng/chacha.h"
+#include "sharing/shamir.h"
 
 namespace dprbg {
 namespace {
@@ -327,7 +333,87 @@ int run_kernel_sweep(bool smoke) {
     t.print();
   }
 
-  // 4) NTT crossover: locates FftField::kNttCrossoverL (the constant
+  // 4) The dealer's evaluation step: M degree-t polynomials (t = 1 at
+  // n = 7) at one point, as one Polynomial (own heap vector) per secret
+  // vs the flat CoeffMatrix sweep eval_polys_block runs.
+  {
+    using F = GF2_64;
+    constexpr unsigned kDeg = 1;
+    Table t({"M", "scalar_ns_per_poly", "block_ns_per_poly", "speedup",
+             "match"});
+    t.context("table", "eval_block");
+    t.context("deg", fmt(kDeg));
+    const F x = random_element<F>(rng);
+    for (const std::size_t m : ms) {
+      const int reps = static_cast<int>(
+          std::max<std::size_t>(1, budget / (8 * m)));
+      const auto mat = CoeffMatrix<F>::random(kDeg, m, rng);
+      std::vector<Polynomial<F>> polys;
+      for (std::size_t j = 0; j < m; ++j) polys.push_back(mat.poly(j));
+      std::vector<F> exp(m), got(m);
+      const double scalar = time_ns_per_elem(m, reps, [&] {
+        for (std::size_t j = 0; j < m; ++j) exp[j] = polys[j](x);
+      });
+      const double block = time_ns_per_elem(
+          m, reps, [&] { eval_polys_block<F>(mat, x, got); });
+      const bool match = got == exp;
+      ok = ok && match;
+      t.row({fmt(m), fmt(scalar), fmt(block), fmt(scalar / block),
+             match ? "yes" : "NO"});
+    }
+    t.print();
+  }
+
+  // 5) Berlekamp-Welch: the decoder (interpolate the first d+1 points,
+  // fall back to elimination only if they hold an error) vs
+  // elimination alone, at the paper's reconstruction shape n = 6d + 1
+  // with e = d. Cases: no error; e errors after the first d+1 points
+  // (the fast path decodes); one error among them (it falls back).
+  {
+    using F = GF2_64;
+    Table t({"n", "d", "e", "errors", "fast_us", "elim_us", "speedup",
+             "match"});
+    t.context("table", "bw_decode");
+    struct Case {
+      const char* name;
+      unsigned errors;
+      bool in_head;
+    };
+    for (const unsigned d : {1u, 2u, 4u, 10u}) {
+      const unsigned n = 6 * d + 1;
+      const unsigned e = d;
+      const auto p = Polynomial<F>::random(d, rng);
+      for (const Case c : {Case{"none", 0, false}, Case{"tail", e, false},
+                           Case{"head", 1, true}}) {
+        std::vector<PointValue<F>> pts;
+        for (unsigned i = 0; i < n; ++i) {
+          const F xi = eval_point<F>(static_cast<int>(i));
+          pts.push_back({xi, p(xi)});
+        }
+        for (unsigned k = 0; k < c.errors; ++k) {
+          pts[c.in_head ? k : n - 1 - k].y =
+              pts[c.in_head ? k : n - 1 - k].y + F::one();
+        }
+        const int reps = (smoke ? 200 : 2000) / static_cast<int>(d);
+        std::optional<Polynomial<F>> fast, elim;
+        const double fast_us =
+            time_ns_per_elem(1, reps, [&] {
+              fast = berlekamp_welch<F>(pts, d, e);
+            }) / 1e3;
+        const double elim_us =
+            time_ns_per_elem(1, reps, [&] {
+              elim = bw_detail::eliminate<F>(pts, d, e);
+            }) / 1e3;
+        const bool match = fast.has_value() && fast == elim && *fast == p;
+        ok = ok && match;
+        t.row({fmt(n), fmt(d), fmt(e), c.name, fmt(fast_us), fmt(elim_us),
+               fmt(elim_us / fast_us), match ? "yes" : "NO"});
+      }
+    }
+    t.print();
+  }
+
+  // 6) NTT crossover: locates FftField::kNttCrossoverL (the constant
   // mul_auto switches on) by timing both paths per l.
   {
     Table t({"l", "schoolbook_ns", "ntt_ns", "winner"});
@@ -367,8 +453,9 @@ int run_kernel_sweep(bool smoke) {
     std::printf(
         "\nshape check: every match column yes (kernel == reference, "
         "bit-for-bit); hw CLMUL >= 10x soft at every M; NTT wins from "
-        "l >= %u. The batch win is CLMUL + blocked combines, not generic "
-        "Z_q modmul.\n",
+        "l >= %u; the decoder beats elimination except on a head error. "
+        "The batch win is CLMUL + blocked combines, not generic Z_q "
+        "modmul.\n",
         FftField::kNttCrossoverL);
   }
   return 0;

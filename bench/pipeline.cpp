@@ -26,12 +26,17 @@
 // --sweep-M (E20, DESIGN.md §14) replaces the depth table with a batch-
 // width sweep: M = 4 ... 4096 coins per batch at depths 1 and 4, with
 // the depth-1 serial cross-check and the stale==0 invariant hard-
-// asserted at every M (exit 1 on any violation). Protocol cost per M is
+// asserted at every M (exit 1 on any violation). Each M runs at least 32
+// batches and enough to last 250 ms by a 4-batch serial probe (at rtt 0
+// a batch takes a few ms, so fewer batches measure scheduler noise);
+// --smoke keeps 2 batches per M. Protocol cost per M is
 // identical with and without the PCLMUL GF(2^64) multiply, so comparing
 // this sweep against a DPRBG_FORCE_SCALAR=1 run isolates that kernel's
 // contribution (BENCH_pipeline.json records both).
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -129,6 +134,22 @@ RunStats run_serial_reference(unsigned batches, unsigned rtt_us,
   stats.stale = cluster.stale_rejections();
   stats.outcomes = std::move(results[0]);
   return stats;
+}
+
+// Batches per --sweep-M row: at least kSweepMinBatches, and enough to
+// last kSweepFloorMs at the serial per-batch time of a 4-batch probe.
+constexpr unsigned kSweepMinBatches = 32;
+constexpr double kSweepFloorMs = 250.0;
+constexpr unsigned kSweepMaxBatches = 4096;
+
+unsigned sweep_batches_for(unsigned m, unsigned rtt_us) {
+  constexpr unsigned kProbe = 4;
+  const double per_batch_ms =
+      run_serial_reference(kProbe, rtt_us, m).wall_ms / kProbe;
+  const double need = per_batch_ms > 0 ? kSweepFloorMs / per_batch_ms
+                                       : kSweepMaxBatches;
+  return std::clamp(static_cast<unsigned>(std::ceil(need)), kSweepMinBatches,
+                    kSweepMaxBatches);
 }
 
 // The telemetry gate: one extra depth-4 run with the registry live, then
@@ -282,18 +303,18 @@ int main(int argc, char** argv) {
     const std::vector<unsigned> ms =
         smoke ? std::vector<unsigned>{4, 64, 1024}
               : std::vector<unsigned>{4, 16, 64, 256, 1024, 4096};
-    const unsigned sweep_batches = smoke ? 2 : 4;
-    Table table({"M", "depth", "coins", "wall_ms", "coins_per_s",
+    Table table({"M", "depth", "batches", "coins", "wall_ms", "coins_per_s",
                  "serial_match", "stale", "faults"});
     table.context("n", fmt(kN));
     table.context("t", fmt(kT));
     table.context("rtt_us", fmt(rtt_us));
-    table.context("batches", fmt(sweep_batches));
     table.context("clmul_hw", gf2_detail::clmul_hw ? "1" : "0");
     table.context("nproc", fmt(std::thread::hardware_concurrency()));
     table.context("cpu", cpu_model());
     bool clean = true;
     for (const unsigned m : ms) {
+      const unsigned sweep_batches =
+          smoke ? 2 : sweep_batches_for(m, rtt_us);
       const RunStats serial = run_serial_reference(sweep_batches, rtt_us, m);
       if (serial.stale != 0) clean = false;
       for (const unsigned depth : {1u, 4u}) {
@@ -317,9 +338,9 @@ int main(int argc, char** argv) {
                        static_cast<unsigned long long>(r.stale), m);
           clean = false;
         }
-        table.row({fmt(m), fmt(depth), fmt(r.coins), fmt(r.wall_ms),
-                   fmt(r.coins / (r.wall_ms / 1000.0)), match,
-                   fmt(r.stale), fmt(r.faults)});
+        table.row({fmt(m), fmt(depth), fmt(sweep_batches), fmt(r.coins),
+                   fmt(r.wall_ms), fmt(r.coins / (r.wall_ms / 1000.0)),
+                   match, fmt(r.stale), fmt(r.faults)});
       }
     }
     table.print();

@@ -38,8 +38,8 @@ int main() {
     std::uint64_t interpolations = 0;
     Cluster cluster(n, t, seed);
     cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-      std::span<const Polynomial<F>> mine;
-      if (io.id() == 0) mine = polys;
+      const auto mine =
+          io.id() == 0 ? CoeffMatrix<F>::from_polys(polys) : CoeffMatrix<F>{};
       const auto out =
           batch_vss<F>(io, 0, t, kSecrets, mine, coins[io.id()][0]);
       if (io.id() == 1) accepted = out.accepted;

@@ -24,6 +24,7 @@
 
 #include "coin/bitgen.h"
 #include "coin/coin_gen.h"
+#include "common/metrics.h"
 #include "common/serial.h"
 #include "common/varint.h"
 #include "gf/field_io.h"
@@ -31,6 +32,8 @@
 #include "gradecast/gradecast.h"
 #include "net/framing.h"
 #include "net/msg.h"
+#include "poly/berlekamp_welch.h"
+#include "sharing/shamir.h"
 
 #define FUZZ_CHECK(cond)            \
   do {                              \
@@ -133,13 +136,14 @@ inline int frames_one(const std::uint8_t* data, std::size_t size) {
 //
 // One dispatching target over every length-validated protocol decoder:
 // the Grade-Cast echo batch, the Coin-Gen clique message, the Bit-Gen
-// combination batch, the field-element row, and the defensive ByteReader
-// itself. data[0] selects the decoder, data[1] parameterizes it, the
-// rest is the hostile body.
+// combination batch, the field-element row, the defensive ByteReader
+// itself, and the Berlekamp-Welch decoder (differentially, against its
+// elimination path). data[0] selects the decoder, data[1] parameterizes
+// it, the rest is the hostile body.
 inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
   using F = GF2_64;
   if (size < 2) return 0;
-  const std::uint8_t sel = data[0] % 5;
+  const std::uint8_t sel = data[0] % 6;
   const std::uint8_t param = data[1];
   const std::vector<std::uint8_t> body(data + 2, data + size);
   constexpr std::size_t kMaxValue = 1u << 10;
@@ -205,6 +209,35 @@ inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
         FUZZ_CHECK(r.remaining() == 0);  // failed readers park at the end
         FUZZ_CHECK(!r.done());
       }
+      break;
+    }
+    case 5: {
+      // The body's elements are the y values of up to 24 points; param
+      // picks the degree bound (bits 0-1), the error bound (bits 2-3) and
+      // the grid (bit 4: canonical 1..n, or distinct points off it). The
+      // interpolate-first decoder must return exactly what elimination
+      // returns, each charging one interpolation when it decodes at all.
+      const unsigned d = param % 4;
+      const unsigned e = (param >> 2) % 4;
+      const bool off_grid = (param & 0x10) != 0;
+      const std::size_t n = std::min<std::size_t>(body.size() / F::kBytes, 24);
+      ByteReader rd(body);
+      std::vector<PointValue<F>> pts;
+      for (std::size_t i = 0; i < n; ++i) {
+        // An odd multiplier is a bijection mod 2^64: distinct x's.
+        const F x = off_grid ? F::from_uint(0x9E3779B97F4A7C15ull * (i + 1))
+                             : eval_point<F>(static_cast<int>(i));
+        pts.push_back({x, read_elem<F>(rd)});
+      }
+      const std::uint64_t charged = n >= d + 1 ? 1 : 0;
+      const std::uint64_t before = field_counters().interpolations;
+      const auto fast = berlekamp_welch<F>(pts, d, e);
+      const std::uint64_t mid = field_counters().interpolations;
+      const auto slow = bw_detail::eliminate<F>(pts, d, e);
+      const std::uint64_t after = field_counters().interpolations;
+      FUZZ_CHECK(fast == slow);
+      FUZZ_CHECK(mid - before == charged && after - mid == charged);
+      if (fast) FUZZ_CHECK(fast->degree() <= static_cast<int>(d));
       break;
     }
     default:

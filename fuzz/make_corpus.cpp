@@ -240,6 +240,30 @@ int main(int argc, char** argv) {
     }
     write_seed(dir, "reader_hostile_len",
                with_prefix(4, 64, {0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF}));
+    // Berlekamp-Welch differential, d = 2, e = 2 (param 2 | 2 << 2): 9
+    // points of a degree-2 codeword with one error. On the grid the error
+    // sits at point 0, inside the interpolated head, so the fast path
+    // falls back to elimination; off the grid (param bit 4) it sits at
+    // point 5 and the fast path decodes.
+    {
+      const dprbg::Polynomial<F> p(std::vector<F>{
+          F::from_uint(0x1234), F::from_uint(0xBEEF), F::from_uint(7)});
+      ByteWriter w;
+      for (int i = 0; i < 9; ++i) {
+        F y = p(dprbg::eval_point<F>(i));
+        if (i == 0) y = y + F::one();
+        dprbg::write_elem(w, y);
+      }
+      write_seed(dir, "bw_head_error", with_prefix(5, 0x0A, w.data()));
+      ByteWriter off;
+      for (int i = 0; i < 9; ++i) {
+        const F x = F::from_uint(0x9E3779B97F4A7C15ull * (i + 1));
+        F y = p(x);
+        if (i == 5) y = y + F::one();
+        dprbg::write_elem(off, y);
+      }
+      write_seed(dir, "bw_off_grid", with_prefix(5, 0x1A, off.data()));
+    }
   }
 
   std::printf("corpus written under %s\n", root.string().c_str());

@@ -59,6 +59,11 @@ struct BitGenView {
   // The row of shares this player received from the dealer (size M_total),
   // or empty when the dealer sent nothing/garbage to us.
   std::vector<F> my_row;
+  // This player's own combination beta of my_row under the challenge r,
+  // as computed and sent in step 3; nullopt when my_row is empty or r
+  // did not expose. Coin-Gen's qualification check reads it instead of
+  // recombining the row.
+  std::optional<F> my_beta;
   // S: the combination shares received in step 3, keyed by sender.
   std::map<int, F> combos;
   // F(x): the decoded combined polynomial, or nullopt for "bottom".
@@ -121,11 +126,10 @@ std::optional<std::vector<std::optional<F>>> decode_combo_batch(
 
 // Single-dealer Bit-Gen, exactly Fig. 4 (used standalone by tests and the
 // E6 benchmark). The dealer passes its M_total polynomials; everyone else
-// passes an empty span. Consumes 2 rounds.
+// passes an empty matrix. Consumes 2 rounds.
 template <FiniteField F, NetEndpoint Io>
 BitGenView<F> bit_gen_single(Io& io, int dealer, unsigned m_total,
-                             unsigned t,
-                             std::span<const Polynomial<F>> dealer_polys,
+                             unsigned t, const CoeffMatrix<F>& dealer_polys,
                              const SealedCoin<F>& challenge_coin,
                              unsigned instance = 0) {
   const std::uint32_t row_tag = make_tag(ProtoId::kBitGen, instance, 0);
@@ -167,8 +171,9 @@ BitGenView<F> bit_gen_single(Io& io, int dealer, unsigned m_total,
   // Step 3: send the Horner combination to all players.
   TraceSpan combine(io, "bitgen", "combine");
   if (!view.my_row.empty()) {
+    view.my_beta = batch_combine<F>(view.my_row, *r_val);
     ByteWriter w;
-    write_elem(w, batch_combine<F>(view.my_row, *r_val));
+    write_elem(w, *view.my_beta);
     io.send_all(combo_tag, w.data());
   }
   const Inbox& in = io.sync();
@@ -196,7 +201,7 @@ BitGenView<F> bit_gen_single(Io& io, int dealer, unsigned m_total,
 // All n Bit-Gen instances in parallel with one shared challenge coin
 // (Fig. 5 steps 1-3: "Participate in all invocations of Bit-Gen_j ...
 // using the same coin r for all invocations"). Each player deals the
-// polynomials in `my_polys` (size M_total). Combination shares for all n
+// polynomials in `my_polys` (M_total columns). Combination shares for all n
 // instances are batched into a single message per recipient, giving the
 // n^2 messages of size kn of Theorem 2. Consumes 2 rounds.
 template <FiniteField F>
@@ -206,8 +211,7 @@ struct BitGenAllOutcome {
 };
 
 template <FiniteField F, NetEndpoint Io>
-BitGenAllOutcome<F> bit_gen_all(Io& io,
-                                std::span<const Polynomial<F>> my_polys,
+BitGenAllOutcome<F> bit_gen_all(Io& io, const CoeffMatrix<F>& my_polys,
                                 unsigned m_total, unsigned t,
                                 const SealedCoin<F>& challenge_coin,
                                 unsigned instance = 0) {
@@ -266,9 +270,10 @@ BitGenAllOutcome<F> bit_gen_all(Io& io,
     ByteWriter w(static_cast<std::size_t>(n) * (1 + F::kBytes));
     std::size_t next_beta = 0;
     for (int dealer = 0; dealer < n; ++dealer) {
-      const bool have = !out.views[dealer].my_row.empty();
-      w.u8(have ? 1 : 0);
-      write_elem(w, have ? betas[next_beta++] : F::zero());
+      auto& view = out.views[dealer];
+      if (!view.my_row.empty()) view.my_beta = betas[next_beta++];
+      w.u8(view.my_beta ? 1 : 0);
+      write_elem(w, view.my_beta.value_or(F::zero()));
     }
     io.send_all(combo_tag, w.data());
   }

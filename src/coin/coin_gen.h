@@ -25,6 +25,11 @@
 // sums over the first 3t+1 dealers of C_l ("S"). A player is *qualified*
 // if its own shares satisfy F_k for all k in C_l — qualified players are
 // exactly those who may send sigma shares in later Coin-Expose runs.
+// "Satisfy" means F_k(i) equals the combination beta_k of player i's row
+// from dealer k under the challenge r: the very value i computed and
+// sent in Bit-Gen step 3, which the BitGenView keeps (my_beta), so the
+// check costs |C_l| evaluations of a degree-t polynomial, not a second
+// pass over the M-wide rows.
 // At least 2t+1 honest players are qualified whenever BA decides 1
 // (condition (iii) seen by an honest voter plus <= t faults), which is
 // what Berlekamp-Welch needs at reconstruction.
@@ -74,18 +79,22 @@ struct CoinGenResult {
   // sigma_{i,h} = sum_{j in S} alpha_{i,j,h} for h = 1..M (pre-summed;
   // empty when not qualified).
   std::vector<F> coin_shares;
+  // M, the number of coins the batch minted (set on success whether or
+  // not this player is qualified).
+  unsigned minted = 0;
   // Seed coins consumed from the pool (challenge + one per BA iteration).
   unsigned seed_coins_used = 0;
   // Number of BA iterations run (Lemma 8: expected O(1)).
   unsigned iterations = 0;
 
-  // The freshly minted coins as SealedCoin views for this player.
+  // The freshly minted coins as SealedCoin views for this player: all M
+  // of them, share-less when unqualified, so every honest player's pool
+  // grows by the same count and later draws stay aligned.
   [[nodiscard]] std::vector<SealedCoin<F>> sealed_coins(unsigned t) const {
     std::vector<SealedCoin<F>> coins;
     if (!success) return coins;
-    const std::size_t m = coin_shares.size();
-    coins.reserve(m);
-    for (std::size_t h = 0; h < m; ++h) {
+    coins.reserve(minted);
+    for (std::size_t h = 0; h < minted; ++h) {
       coins.push_back(SealedCoin<F>{
           qualified ? std::optional<F>(coin_shares[h]) : std::nullopt, t});
     }
@@ -175,13 +184,8 @@ CoinGenResult<F> coin_gen(Io& io, unsigned m, CoinPool<F>& pool,
   const SealedCoin<F> challenge = pool.take();
   ++result.seed_coins_used;
   TraceSpan deal_span(io, "coin-gen", "deal");
-  std::vector<Polynomial<F>> my_polys;
-  my_polys.reserve(m_total);
-  for (unsigned j = 0; j < m_total; ++j) {
-    my_polys.push_back(Polynomial<F>::random(t, io.rng()));
-  }
-  auto bg = bit_gen_all<F>(io, my_polys, m_total, t, challenge,
-                           /*instance=*/0);
+  auto bg = bit_gen_all<F>(io, CoeffMatrix<F>::random(t, m_total, io.rng()),
+                           m_total, t, challenge, /*instance=*/0);
   deal_span.close();
 
   // Steps 4-5: the mutual-verification graph. Directed edge j -> k when
@@ -293,36 +297,25 @@ CoinGenResult<F> coin_gen(Io& io, unsigned m, CoinPool<F>& pool,
     }
     TraceSpan output_span(io, "coin-gen", "output");
     result.success = true;
+    result.minted = m;
     result.clique = msg->clique;
     result.summed_dealers.assign(
         msg->clique.begin(),
         msg->clique.begin() +
             std::min<std::size_t>(msg->clique.size(), 3 * t + 1));
 
-    // Qualification: my own rows satisfy F_k for every summed dealer...
-    // for every clique member (condition (iii) quantifies over all of
-    // C_l, and qualification must match what other players verified).
-    // All |C_l| Horner combinations run through the blocked kernel in
-    // one SoA pass (same per-row op sequence as the scalar loop); any
-    // missing row disqualifies outright, exactly as before.
-    result.qualified = bg.challenge.has_value();
+    // Qualification: my own rows satisfy F_k for every clique member
+    // (condition (iii) quantifies over all of C_l, and qualification must
+    // match what other players verified). The combination of my row k
+    // under r is the beta_k I computed and sent in Bit-Gen step 3, so
+    // the check is F_k(i) == beta_k; a missing row (hence no beta)
+    // disqualifies outright.
+    result.qualified = true;
     for (int k : msg->clique) {
-      if (bg.views[k].my_row.empty()) result.qualified = false;
-    }
-    if (result.qualified) {
-      ArenaScope scope(scratch_arena());
-      ScratchVec<const F*> rows(scope, msg->clique.size());
-      for (std::size_t c = 0; c < msg->clique.size(); ++c) {
-        rows[c] = bg.views[msg->clique[c]].my_row.data();
-      }
-      ScratchVec<F> betas(scope, msg->clique.size());
-      batch_combine_block<F>(rows, m_total, *bg.challenge, betas);
-      for (std::size_t c = 0; c < msg->clique.size(); ++c) {
-        const int k = msg->clique[c];
-        if (msg->polys.at(k)(eval_point<F>(io.id())) != betas[c]) {
-          result.qualified = false;
-          break;
-        }
+      const std::optional<F>& beta = bg.views[k].my_beta;
+      if (!beta || msg->polys.at(k)(eval_point<F>(io.id())) != *beta) {
+        result.qualified = false;
+        break;
       }
     }
     if (result.qualified) {

@@ -46,13 +46,16 @@
 
 namespace dprbg {
 
-// A uniformly random degree-<=t polynomial with zero constant term:
-// x * g(x) for uniform g of degree <= t-1.
+// m uniformly random degree-<=t polynomials with zero constant term:
+// x * g(x) for uniform g of degree <= t-1, drawn polynomial by
+// polynomial.
 template <FiniteField F>
-Polynomial<F> random_zero_secret(unsigned t, Chacha& rng) {
-  std::vector<F> coeffs(t + 1, F::zero());
-  for (unsigned i = 1; i <= t; ++i) coeffs[i] = random_element<F>(rng);
-  return Polynomial<F>{std::move(coeffs)};
+CoeffMatrix<F> random_zero_secret(unsigned t, std::size_t m, Chacha& rng) {
+  CoeffMatrix<F> polys(t, m);
+  for (std::size_t j = 0; j < m; ++j) {
+    for (unsigned c = 1; c <= t; ++c) polys.at(c, j) = random_element<F>(rng);
+  }
+  return polys;
 }
 
 template <FiniteField F>
@@ -80,13 +83,9 @@ RefreshResult<F> proactive_refresh(Io& io,
   const unsigned m = static_cast<unsigned>(coins.size());
   const unsigned m_total = m + 1;  // zero-secret blinder at index 0
 
-  std::vector<Polynomial<F>> my_polys;
-  my_polys.reserve(m_total);
-  for (unsigned j = 0; j < m_total; ++j) {
-    my_polys.push_back(random_zero_secret<F>(t, io.rng()));
-  }
   const auto bg =
-      bit_gen_all<F>(io, my_polys, m_total, t, challenge_coin, instance);
+      bit_gen_all<F>(io, random_zero_secret<F>(t, m_total, io.rng()),
+                     m_total, t, challenge_coin, instance);
 
   RefreshResult<F> result;
   if (!bg.challenge.has_value()) return result;
@@ -220,13 +219,11 @@ ReshareResult<F> cross_roster_reshare(Io& io, int n_old, unsigned t_new,
     bool holds_all = old_side;
     for (const auto& c : coins) holds_all = holds_all && c.share.has_value();
     if (holds_all) {
-      std::vector<Polynomial<F>> polys;
-      polys.reserve(m_total);
-      polys.push_back(Polynomial<F>::random(t_new, io.rng()));
-      for (const auto& c : coins) {
-        polys.push_back(
-            Polynomial<F>::random_with_secret(*c.share, t_new, io.rng()));
-      }
+      // Column 0 is the blinder; column 1 + h shares coin h, its
+      // random constant term replaced by the old share (the draws of
+      // Polynomial::random_with_secret).
+      auto polys = CoeffMatrix<F>::random(t_new, m_total, io.rng());
+      for (unsigned h = 0; h < m; ++h) polys.at(0, 1 + h) = *coins[h].share;
       ArenaScope scope(scratch_arena());
       ScratchVec<F> vals(scope, m_total);
       for (int j = 0; j < n_new; ++j) {

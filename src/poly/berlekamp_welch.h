@@ -23,28 +23,16 @@
 
 namespace dprbg {
 
-// Decodes a polynomial of degree <= max_degree from points with at most
-// max_errors corruptions. Returns nullopt when no such polynomial exists
-// (e.g. more corruption than the distance allows, or a cheating dealer's
-// over-degree sharing). Counted as one interpolation in the metrics,
-// matching the paper's treatment of Berlekamp-Welch decoding as "a single
-// polynomial interpolation".
+namespace bw_detail {
+
+// The key-equation solve: scans e' from max_errors down, returning the
+// first Q/E of degree <= max_degree that disagrees with at most
+// max_errors points. Uncounted; callers charge the interpolation.
 template <FiniteField F>
-std::optional<Polynomial<F>> berlekamp_welch(
+std::optional<Polynomial<F>> solve_key_equation(
     std::span<const PointValue<F>> points, unsigned max_degree,
     unsigned max_errors) {
   const std::size_t n = points.size();
-  if (n < static_cast<std::size_t>(max_degree) + 1) return std::nullopt;
-
-  // Fast path: no errors permitted, plain interpolation + degree check.
-  if (max_errors == 0) {
-    if (!is_degree_at_most<F>(points, max_degree)) return std::nullopt;
-    const auto head = points.first(
-        std::min<std::size_t>(n, static_cast<std::size_t>(max_degree) + 1));
-    return lagrange_interpolate<F>(head);
-  }
-
-  count_interpolation();
   // Try decreasing error counts: the key equation with e' < actual number
   // of errors is unsolvable, while e' > actual may produce spurious
   // solutions with E not dividing Q; scanning e from max down and
@@ -91,6 +79,57 @@ std::optional<Polynomial<F>> berlekamp_welch(
     if (e == 0) break;
   }
   return std::nullopt;
+}
+
+// Berlekamp-Welch by Gaussian elimination alone, with no interpolation
+// shortcut: the reference the decoder's fast path is tested against.
+// Counted as one interpolation.
+template <FiniteField F>
+std::optional<Polynomial<F>> eliminate(std::span<const PointValue<F>> points,
+                                       unsigned max_degree,
+                                       unsigned max_errors) {
+  if (points.size() < static_cast<std::size_t>(max_degree) + 1) {
+    return std::nullopt;
+  }
+  count_interpolation();
+  return solve_key_equation<F>(points, max_degree, max_errors);
+}
+
+}  // namespace bw_detail
+
+// Decodes a polynomial of degree <= max_degree from points with at most
+// max_errors corruptions. Returns nullopt when no such polynomial exists
+// (e.g. more corruption than the distance allows, or a cheating dealer's
+// over-degree sharing). Counted as one interpolation in the metrics on
+// every path, matching the paper's treatment of Berlekamp-Welch decoding
+// as "a single polynomial interpolation".
+//
+// Interpolation first: when points.size() >= d + 2e + 1, any two
+// polynomials of degree <= d within distance e of the points agree on
+// >= d + 1 of them and are equal. So the polynomial through the first
+// d + 1 points, if it disagrees with at most e of the rest, is THE
+// answer elimination would return. Only a word with errors among those
+// first d + 1 points (or no codeword at all) pays for the linear solve.
+template <FiniteField F>
+std::optional<Polynomial<F>> berlekamp_welch(
+    std::span<const PointValue<F>> points, unsigned max_degree,
+    unsigned max_errors) {
+  const std::size_t n = points.size();
+  const std::size_t head = static_cast<std::size_t>(max_degree) + 1;
+  if (n < head) return std::nullopt;
+  if (n < head + 2 * static_cast<std::size_t>(max_errors)) {
+    return bw_detail::eliminate<F>(points, max_degree, max_errors);
+  }
+  Polynomial<F> candidate = lagrange_interpolate<F>(points.first(head));
+  unsigned disagreements = 0;
+  for (std::size_t i = head; i < n && disagreements <= max_errors; ++i) {
+    if (candidate(points[i].x) != points[i].y) ++disagreements;
+  }
+  if (disagreements <= max_errors) return candidate;
+  // With no errors allowed, only the candidate could have fit.
+  if (max_errors == 0) return std::nullopt;
+  // The interpolation above is this decode's one counted interpolation.
+  return bw_detail::solve_key_equation<F>(points, max_degree, max_errors);
 }
 
 }  // namespace dprbg

@@ -23,10 +23,11 @@
 //    repeated rounds allocate nothing after warm-up.
 //  * Blocked SoA kernels at the bottom of this header evaluate all M
 //    columns of a round's share matrix in one pass (batch_combine_block,
-//    accumulate_rows_block, interpolate_at_block). The first two replay
+//    accumulate_rows_block, interpolate_at_block). The first two perform
 //    the scalar per-row operation sequence exactly — bit-for-bit outputs
-//    AND identical add/mul counts, so the Lemma 2/4/6/8 trace budgets
-//    are untouched (asserted in tests/block_kernels_test.cpp).
+//    AND identical add/mul counts, so choosing the kernel over the
+//    scalar loop cannot move a Lemma 2/4/6/8 trace budget (asserted in
+//    tests/block_kernels_test.cpp).
 
 #pragma once
 
@@ -248,9 +249,9 @@ F interpolate_at(std::span<const PointValue<F>> points, F target) {
 // batch_combine(rows[i], r) for every row. Rows are register-tiled so a
 // tile's accumulators stay hot while the shared power-of-r walk streams
 // each column once; the per-row operation sequence — (acc + x) * r from
-// j = m-1 down to 0 — is replayed verbatim, so outputs AND add/mul
-// counts are identical to the scalar loop (trace budgets unaffected).
-// Every row must have m elements.
+// j = m-1 down to 0 — is the scalar loop's, so outputs AND add/mul
+// counts are identical to batch_combine per row. Every row must have m
+// elements.
 template <FiniteField F>
 void batch_combine_block(std::span<const F* const> rows, std::size_t m, F r,
                          std::span<F> out) {

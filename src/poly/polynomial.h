@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -54,10 +55,12 @@ class Polynomial {
     return coeffs_[i];
   }
 
-  // Horner evaluation.
+  // Horner evaluation, starting from the top coefficient: deg(f)
+  // multiplications and additions.
   [[nodiscard]] F operator()(F x) const {
-    F acc = F::zero();
-    for (std::size_t i = coeffs_.size(); i-- > 0;) {
+    if (coeffs_.empty()) return F::zero();
+    F acc = coeffs_.back();
+    for (std::size_t i = coeffs_.size() - 1; i-- > 0;) {
       acc = acc * x + coeffs_[i];
     }
     return acc;
@@ -134,41 +137,89 @@ class Polynomial {
   std::vector<F> coeffs_;
 };
 
-// Evaluate a whole batch of polynomials at one point in a blocked SoA
-// pass: out[j] = polys[j](x). The dealer's distribution step evaluates
-// all M+1 sharing polynomials per recipient; walking them in a register
-// tile keeps the accumulators hot instead of re-running M independent
-// Horner loops. Each polynomial's own Horner sequence (acc = acc*x + c_i
-// from the top coefficient down) is replayed verbatim, so outputs and
-// add/mul counts are identical to calling polys[j](x) in a loop — the
-// trace budgets can't tell the difference (tests/block_kernels_test.cpp
-// asserts both).
+// A batch of m polynomials of degree <= deg, stored coefficient-major:
+// row c holds coefficient c of every polynomial, so column j is
+// polynomial j. A dealer's M sharing polynomials live in one flat
+// (deg+1) x m buffer instead of M heap vectors, and evaluating them all
+// at one point is a branch-free sweep over contiguous rows.
 template <FiniteField F>
-void eval_polys_block(std::span<const Polynomial<F>> polys, F x,
-                      std::span<F> out) {
-  DPRBG_CHECK(out.size() == polys.size());
-  constexpr std::size_t kTile = 32;
-  F acc[kTile];
-  for (std::size_t p0 = 0; p0 < polys.size(); p0 += kTile) {
-    const std::size_t tile = std::min(kTile, polys.size() - p0);
-    std::size_t max_len = 0;
-    for (std::size_t t = 0; t < tile; ++t) {
-      acc[t] = F::zero();
-      max_len = std::max(max_len, polys[p0 + t].coeffs().size());
-    }
-    // Polynomials are trimmed, so lengths can be ragged within a tile;
-    // each engages once the column index enters its coefficient range
-    // (a zero accumulator times x plus the top coefficient is exactly
-    // where its own Horner loop starts... except the ops before that
-    // point must not run at all to keep counts identical, hence the
-    // length guard).
-    for (std::size_t j = max_len; j-- > 0;) {
-      for (std::size_t t = 0; t < tile; ++t) {
-        const auto& c = polys[p0 + t].coeffs();
-        if (j < c.size()) acc[t] = acc[t] * x + c[j];
+class CoeffMatrix {
+ public:
+  CoeffMatrix() = default;
+  // The zero matrix: m polynomials of degree <= deg, all coefficients 0.
+  CoeffMatrix(unsigned deg, std::size_t m)
+      : deg_(deg), m_(m), data_((deg + 1) * m, F::zero()) {}
+
+  // m uniformly random polynomials of degree <= deg. Coefficients are
+  // drawn polynomial by polynomial, low degree first — the order of m
+  // successive Polynomial::random(deg, rng) calls — so a seed deals the
+  // same values either way.
+  static CoeffMatrix random(unsigned deg, std::size_t m, Chacha& rng) {
+    CoeffMatrix out(deg, m);
+    for (std::size_t j = 0; j < m; ++j) {
+      for (unsigned c = 0; c <= deg; ++c) {
+        out.at(c, j) = random_element<F>(rng);
       }
     }
-    for (std::size_t t = 0; t < tile; ++t) out[p0 + t] = acc[t];
+    return out;
+  }
+  // The batch holding `polys` in order; its degree is the largest among
+  // them (lower-degree polynomials get zero top coefficients).
+  static CoeffMatrix from_polys(std::span<const Polynomial<F>> polys) {
+    int deg = 0;
+    for (const auto& p : polys) deg = std::max(deg, p.degree());
+    CoeffMatrix out(static_cast<unsigned>(deg), polys.size());
+    for (std::size_t j = 0; j < polys.size(); ++j) {
+      const auto& c = polys[j].coeffs();
+      for (std::size_t k = 0; k < c.size(); ++k) out.at(k, j) = c[k];
+    }
+    return out;
+  }
+
+  [[nodiscard]] unsigned degree() const { return deg_; }
+  // Number of polynomials (columns).
+  [[nodiscard]] std::size_t size() const { return m_; }
+  [[nodiscard]] F& at(unsigned c, std::size_t j) {
+    return data_[c * m_ + j];
+  }
+  [[nodiscard]] F at(unsigned c, std::size_t j) const {
+    return data_[c * m_ + j];
+  }
+  [[nodiscard]] std::span<F> row(unsigned c) {
+    return {data_.data() + c * m_, m_};
+  }
+  [[nodiscard]] std::span<const F> row(unsigned c) const {
+    return {data_.data() + c * m_, m_};
+  }
+  [[nodiscard]] Polynomial<F> poly(std::size_t j) const {
+    std::vector<F> c(deg_ + 1);
+    for (unsigned k = 0; k <= deg_; ++k) c[k] = at(k, j);
+    return Polynomial<F>{std::move(c)};
+  }
+
+ private:
+  unsigned deg_ = 0;
+  std::size_t m_ = 0;
+  std::vector<F> data_;
+};
+
+// Evaluate every polynomial of a batch at one point: out[j] = poly j at
+// x. The dealer's distribution step evaluates all M+1 sharing
+// polynomials per recipient. Horner runs row by row over the whole
+// batch: out = C[deg], then out = out * x + C[c] for c = deg-1 .. 0, so
+// each polynomial costs deg multiplications and deg additions — the
+// same values and op counts as Polynomial::operator() on a polynomial
+// of full degree (tests/block_kernels_test.cpp asserts both).
+template <FiniteField F>
+void eval_polys_block(const CoeffMatrix<F>& polys, F x, std::span<F> out) {
+  DPRBG_CHECK(out.size() == polys.size());
+  const auto top = polys.row(polys.degree());
+  std::copy(top.begin(), top.end(), out.begin());
+  for (unsigned c = polys.degree(); c-- > 0;) {
+    const F* coeffs = polys.row(c).data();
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      out[j] = out[j] * x + coeffs[j];
+    }
   }
 }
 

@@ -65,13 +65,14 @@ struct BatchVssOutcome {
 
 // Distribution (1 round) + challenge exposure (1 round) + combination
 // broadcast and local decision (1 round). The dealer passes its M
-// polynomials; everyone else passes an empty span. `expected_m` is the
-// publicly known batch size M.
+// polynomials; everyone else passes an empty matrix. `expected_m` is
+// the publicly known batch size M.
 template <FiniteField F, NetEndpoint Io>
-BatchVssOutcome<F> batch_vss(
-    Io& io, int dealer, unsigned t, unsigned expected_m,
-    std::span<const Polynomial<F>> dealer_polys,
-    const SealedCoin<F>& challenge_coin, unsigned instance = 0) {
+BatchVssOutcome<F> batch_vss(Io& io, int dealer, unsigned t,
+                             unsigned expected_m,
+                             const CoeffMatrix<F>& dealer_polys,
+                             const SealedCoin<F>& challenge_coin,
+                             unsigned instance = 0) {
   const std::uint32_t share_tag = make_tag(ProtoId::kBatchVss, instance, 0);
   const std::uint32_t combo_tag = make_tag(ProtoId::kBatchVss, instance, 2);
   const int n = io.n();

@@ -73,10 +73,10 @@ VssOutcome<F> vss_share_and_verify(
       DPRBG_CHECK(dealer_poly.has_value());
       const std::array<Polynomial<F>, 2> fg{
           *dealer_poly, Polynomial<F>::random(t, io.rng())};
+      const auto polys = CoeffMatrix<F>::from_polys(fg);
       std::array<F, 2> vals;
       for (int i = 0; i < n; ++i) {
-        eval_polys_block<F>(std::span<const Polynomial<F>>(fg),
-                            eval_point<F>(i), vals);
+        eval_polys_block<F>(polys, eval_point<F>(i), vals);
         ByteWriter w(2 * F::kBytes);
         write_elem(w, vals[0]);
         write_elem(w, vals[1]);

@@ -3,12 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "common/check.h"
+#include "common/metrics.h"
 #include "gf/gf2.h"
 #include "poly/berlekamp_welch.h"
 #include "poly/polynomial.h"
 #include "rng/chacha.h"
+#include "sharing/shamir.h"
 
 namespace dprbg {
 namespace {
@@ -156,6 +163,167 @@ TEST(BerlekampWelchTest, SmallFieldDecoding) {
   const auto decoded = berlekamp_welch<F8>(pts, 2, 2);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, p);
+}
+
+// ---------------------------------------------------------------------
+// Differential check: the interpolate-first decoder against the
+// elimination path it short-cuts (bw_detail::eliminate), over GF(2^64)
+// and a small prime field. Z_251 has odd characteristic, so a sign slip
+// that GF(2^k) hides (there a - b == a + b) shows up.
+
+class Z251 {
+ public:
+  static constexpr std::uint32_t kQ = 251;
+  static constexpr unsigned kBits = 8;
+  static constexpr unsigned kBytes = 1;
+
+  Z251() = default;
+  static Z251 zero() { return Z251(0); }
+  static Z251 one() { return Z251(1); }
+  static Z251 from_uint(std::uint64_t v) {
+    return Z251(static_cast<std::uint32_t>(v % kQ));
+  }
+  friend Z251 operator+(Z251 a, Z251 b) { return Z251((a.v_ + b.v_) % kQ); }
+  friend Z251 operator-(Z251 a, Z251 b) {
+    return Z251((a.v_ + kQ - b.v_) % kQ);
+  }
+  friend Z251 operator*(Z251 a, Z251 b) { return Z251(a.v_ * b.v_ % kQ); }
+  friend Z251 operator/(Z251 a, Z251 b) { return a * b.inv(); }
+  [[nodiscard]] Z251 inv() const {  // Fermat: a^(q-2)
+    DPRBG_CHECK(v_ != 0);
+    Z251 acc = one();
+    Z251 base = *this;
+    for (std::uint32_t e = kQ - 2; e != 0; e >>= 1) {
+      if ((e & 1u) != 0) acc = acc * base;
+      base = base * base;
+    }
+    return acc;
+  }
+  [[nodiscard]] std::uint64_t to_uint() const { return v_; }
+  [[nodiscard]] bool is_zero() const { return v_ == 0; }
+  friend bool operator==(Z251 a, Z251 b) = default;
+
+ private:
+  explicit Z251(std::uint32_t v) : v_(v) {}
+  std::uint32_t v_ = 0;
+};
+static_assert(FiniteField<Z251>);
+
+template <typename G>
+class BwDifferentialTest : public ::testing::Test {};
+
+using DiffFields = ::testing::Types<GF2_64, Z251>;
+TYPED_TEST_SUITE(BwDifferentialTest, DiffFields);
+
+// Runs both decoders on one word; they must agree and each must count
+// exactly one interpolation.
+template <typename G>
+std::optional<Polynomial<G>> decode_both(
+    const std::vector<PointValue<G>>& pts, unsigned d, unsigned e,
+    const char* what) {
+  const std::uint64_t before = field_counters().interpolations;
+  const auto fast = berlekamp_welch<G>(pts, d, e);
+  const std::uint64_t mid = field_counters().interpolations;
+  const auto slow = bw_detail::eliminate<G>(pts, d, e);
+  const std::uint64_t after = field_counters().interpolations;
+  EXPECT_EQ(fast, slow) << what;
+  EXPECT_EQ(mid - before, 1u) << what << ": fast path interpolations";
+  EXPECT_EQ(after - mid, 1u) << what << ": elimination interpolations";
+  return fast;
+}
+
+// Adds a nonzero offset to y at each listed position.
+template <typename G>
+void corrupt_at(std::vector<PointValue<G>>& pts,
+                const std::vector<std::size_t>& positions, Chacha& rng) {
+  for (const std::size_t pos : positions) {
+    pts[pos].y = pts[pos].y + random_nonzero<G>(rng);
+  }
+}
+
+// `count` distinct positions drawn from [0, limit).
+std::vector<std::size_t> pick_positions(std::size_t count, std::size_t limit,
+                                        Chacha& rng) {
+  std::vector<std::size_t> all(limit);
+  for (std::size_t i = 0; i < limit; ++i) all[i] = i;
+  std::shuffle(all.begin(), all.end(), rng);
+  all.resize(count);
+  return all;
+}
+
+TYPED_TEST(BwDifferentialTest, FastPathMatchesElimination) {
+  using G = TypeParam;
+  struct Shape {
+    unsigned n, d, e;
+  };
+  for (const Shape sh : {Shape{7, 1, 1}, Shape{13, 2, 2}, Shape{25, 4, 4},
+                         Shape{31, 5, 5}, Shape{61, 10, 10}}) {
+    Chacha rng(1000 + sh.n);
+    for (int trial = 0; trial < 4; ++trial) {
+      // Even trials use the canonical grid 1..n (the cached-weights
+      // path); odd ones a shuffled subset of distinct points off it.
+      std::vector<G> xs;
+      if (trial % 2 == 0) {
+        for (unsigned i = 0; i < sh.n; ++i) {
+          xs.push_back(eval_point<G>(static_cast<int>(i)));
+        }
+      } else {
+        for (const std::size_t v : pick_positions(sh.n, 200, rng)) {
+          xs.push_back(G::from_uint(v + 3));
+        }
+      }
+      auto word = [&](const Polynomial<G>& p) {
+        std::vector<PointValue<G>> pts;
+        for (const G& x : xs) pts.push_back({x, p(x)});
+        return pts;
+      };
+      const auto p = Polynomial<G>::random(sh.d, rng);
+      const std::string where = "n=" + std::to_string(sh.n) +
+                                " trial=" + std::to_string(trial);
+      // 0..e errors anywhere: both decode p.
+      for (unsigned k = 0; k <= sh.e; ++k) {
+        auto pts = word(p);
+        corrupt_at(pts, pick_positions(k, sh.n, rng), rng);
+        const auto got =
+            decode_both<G>(pts, sh.d, sh.e, (where + " errors").c_str());
+        ASSERT_TRUE(got.has_value()) << where << " k=" << k;
+        EXPECT_EQ(*got, p) << where << " k=" << k;
+      }
+      // Errors confined to the first d+1 points: the fast path's
+      // candidate is wrong and it must fall back.
+      for (unsigned k = 1; k <= std::min(sh.e, sh.d + 1); ++k) {
+        auto pts = word(p);
+        corrupt_at(pts, pick_positions(k, sh.d + 1, rng), rng);
+        const auto got =
+            decode_both<G>(pts, sh.d, sh.e, (where + " head").c_str());
+        ASSERT_TRUE(got.has_value()) << where << " head k=" << k;
+        EXPECT_EQ(*got, p) << where << " head k=" << k;
+      }
+      // e+1 errors: beyond the decoding radius; only agreement is owed.
+      {
+        auto pts = word(p);
+        corrupt_at(pts, pick_positions(sh.e + 1, sh.n, rng), rng);
+        (void)decode_both<G>(pts, sh.d, sh.e, (where + " e+1").c_str());
+      }
+      // Over-degree words, clean and with a few errors.
+      for (unsigned extra = 1; extra <= 3; ++extra) {
+        Polynomial<G> q = Polynomial<G>::random(sh.d + extra, rng);
+        while (q.degree() < static_cast<int>(sh.d + extra)) {
+          q = Polynomial<G>::random(sh.d + extra, rng);
+        }
+        auto pts = word(q);
+        corrupt_at(pts, pick_positions(extra - 1, sh.n, rng), rng);
+        (void)decode_both<G>(pts, sh.d, sh.e, (where + " over").c_str());
+      }
+      // Fewer allowed errors than present, and max_errors == 0.
+      for (unsigned e : {0u, sh.e / 2}) {
+        auto pts = word(p);
+        corrupt_at(pts, pick_positions(e + 1, sh.n, rng), rng);
+        (void)decode_both<G>(pts, sh.d, e, (where + " small e").c_str());
+        (void)decode_both<G>(word(p), sh.d, e, (where + " clean").c_str());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Blocked SoA kernel equivalence (poly/interpolate.h, poly/polynomial.h):
-// batch_combine_block / accumulate_rows_block / eval_polys_block must be
-// bit-for-bit equal to their scalar loops AND perform identical field op
-// counts (the Lemma 2/4/6/8 trace budgets depend on it);
+// batch_combine_block / accumulate_rows_block must be bit-for-bit equal
+// to their scalar loops AND perform identical field op counts, and
+// eval_polys_block over a CoeffMatrix must equal Polynomial::operator()
+// per column in values and counts (the Lemma 2/4/6/8 trace budgets
+// depend on it);
 // interpolate_at_block must be value-equal to per-column interpolate_at
 // (it is allowed — designed — to use fewer multiplications).
 
@@ -103,31 +105,49 @@ TYPED_TEST(BlockKernelsTest, AccumulateRowsBlockMatchesScalarExactly) {
 TYPED_TEST(BlockKernelsTest, EvalPolysBlockMatchesScalarExactly) {
   using F = TypeParam;
   Chacha rng(303);
-  for (std::size_t count : {std::size_t{1}, std::size_t{17},
-                            std::size_t{32}, std::size_t{40}}) {
-    std::vector<Polynomial<F>> polys;
-    for (std::size_t j = 0; j < count; ++j) {
-      // Ragged degrees (including the zero polynomial) so the per-poly
-      // engagement guard is exercised.
-      polys.push_back(
-          Polynomial<F>::random(static_cast<unsigned>(j % 7), rng));
+  for (unsigned deg : {0u, 1u, 2u, 6u}) {
+    for (std::size_t count : {std::size_t{1}, std::size_t{17},
+                              std::size_t{40}}) {
+      auto polys = CoeffMatrix<F>::random(deg, count, rng);
+      // A nonzero top row makes every column a polynomial of full degree,
+      // so Polynomial::operator() runs the same deg-step Horner chain.
+      for (F& c : polys.row(deg)) c = random_nonzero<F>(rng);
+      const F x = random_element<F>(rng);
+      std::vector<Polynomial<F>> scalar;
+      for (std::size_t j = 0; j < count; ++j) {
+        scalar.push_back(polys.poly(j));
+      }
+
+      const FieldCounters before_scalar = field_counters();
+      std::vector<F> expect;
+      for (const auto& p : scalar) expect.push_back(p(x));
+      const FieldCounters scalar_ops = field_counters() - before_scalar;
+
+      std::vector<F> got(count);
+      const FieldCounters before_block = field_counters();
+      eval_polys_block<F>(polys, x, got);
+      const FieldCounters block_ops = field_counters() - before_block;
+
+      ASSERT_EQ(got, expect) << "deg=" << deg << " count=" << count;
+      EXPECT_EQ(block_ops.adds, scalar_ops.adds);
+      EXPECT_EQ(block_ops.muls, scalar_ops.muls);
+      EXPECT_EQ(block_ops.muls, deg * count);
     }
-    polys.push_back(Polynomial<F>{});  // zero polynomial
-    const F x = random_element<F>(rng);
+  }
+}
 
-    const FieldCounters before_scalar = field_counters();
-    std::vector<F> expect;
-    for (const auto& p : polys) expect.push_back(p(x));
-    const FieldCounters scalar_ops = field_counters() - before_scalar;
-
-    std::vector<F> got(polys.size());
-    const FieldCounters before_block = field_counters();
-    eval_polys_block<F>(polys, x, got);
-    const FieldCounters block_ops = field_counters() - before_block;
-
-    ASSERT_EQ(got, expect) << "count=" << count;
-    EXPECT_EQ(block_ops.adds, scalar_ops.adds);
-    EXPECT_EQ(block_ops.muls, scalar_ops.muls);
+TYPED_TEST(BlockKernelsTest, CoeffMatrixDrawsLikePolynomialRandom) {
+  // Same seed, same dealt values: the matrix draws coefficients in the
+  // order of successive Polynomial::random calls.
+  using F = TypeParam;
+  for (unsigned deg : {0u, 1u, 3u}) {
+    Chacha a(505 + deg);
+    Chacha b(505 + deg);
+    const auto polys = CoeffMatrix<F>::random(deg, 9, a);
+    for (std::size_t j = 0; j < polys.size(); ++j) {
+      EXPECT_EQ(polys.poly(j), Polynomial<F>::random(deg, b)) << j;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64());
   }
 }
 

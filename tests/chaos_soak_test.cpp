@@ -275,12 +275,9 @@ TEST(ChaosSoakTest, BatchVssAcceptsWithHonestDealerUnderFaults) {
     std::vector<char> accepted(n);
     trial.cluster.run(
         [&](PartyIo& io) {
-          std::vector<Polynomial<F>> polys;
-          if (io.id() == dealer) {
-            for (unsigned j = 0; j < m; ++j) {
-              polys.push_back(Polynomial<F>::random(t, io.rng()));
-            }
-          }
+          const auto polys =
+              io.id() == dealer ? CoeffMatrix<F>::random(t, m, io.rng())
+                                : CoeffMatrix<F>{};
           const auto out = batch_vss<F>(
               io, dealer, t, m, polys,
               SealedCoin<F>{genesis[io.id()][0].share, t});
@@ -314,12 +311,9 @@ TEST(ChaosSoakTest, BitGenDecodesUnanimouslyUnderFaults) {
     std::vector<std::vector<std::uint64_t>> decoded(n);
     trial.cluster.run(
         [&](PartyIo& io) {
-          std::vector<Polynomial<F>> polys;
-          if (io.id() == dealer) {
-            for (unsigned j = 0; j < m_total; ++j) {
-              polys.push_back(Polynomial<F>::random(t, io.rng()));
-            }
-          }
+          const auto polys =
+              io.id() == dealer ? CoeffMatrix<F>::random(t, m_total, io.rng())
+                                : CoeffMatrix<F>{};
           const auto view = bit_gen_single<F>(
               io, dealer, m_total, t, polys,
               SealedCoin<F>{genesis[io.id()][0].share, t});

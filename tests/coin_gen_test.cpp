@@ -5,16 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "coin/bitgen.h"
 #include "coin/coin_expose.h"
 #include "coin/coin_gen.h"
 #include "dprbg/coin_pool.h"
 #include "dprbg/trusted_dealer.h"
 #include "gf/gf2.h"
 #include "net/cluster.h"
+#include "net/endpoint.h"
+#include "vss/batch_vss.h"
 
 namespace dprbg {
 namespace {
@@ -236,6 +241,141 @@ TEST(CoinGenTest, QualifiedSetLargeEnoughForReconstruction) {
     if (run.results[i].qualified) ++qualified_honest;
   }
   EXPECT_GE(qualified_honest, 2 * t + 1);
+}
+
+// A dealer's endpoint that runs the honest protocol but tampers with one
+// element of the Bit-Gen row it sends to `victim` (element 2, a coin
+// row, not the blinder). Everything else passes through untouched.
+class RowTamperIo {
+ public:
+  RowTamperIo(PartyIo& io, int victim) : io_(io), victim_(victim) {}
+
+  [[nodiscard]] int id() const { return io_.id(); }
+  [[nodiscard]] int n() const { return io_.n(); }
+  [[nodiscard]] int t() const { return io_.t(); }
+  [[nodiscard]] Chacha& rng() { return io_.rng(); }
+  [[nodiscard]] std::uint32_t stream() const { return io_.stream(); }
+  [[nodiscard]] std::uint32_t committee() const { return io_.committee(); }
+  RowTamperIo& instance(std::uint32_t batch) {
+    DPRBG_CHECK(batch == 0);  // single-stream runs only
+    return *this;
+  }
+  void send(int to, std::uint32_t tag, std::vector<std::uint8_t> body) {
+    if (to == victim_ && tag == make_tag(ProtoId::kBitGen, 0, 0)) {
+      body.at(2 * F::kBytes) ^= 0x01;
+    }
+    io_.send(to, tag, std::move(body));
+  }
+  void send_all(std::uint32_t tag, const std::vector<std::uint8_t>& body) {
+    io_.send_all(tag, body);
+  }
+  const Inbox& sync() { return io_.sync(); }
+  [[nodiscard]] const Inbox& inbox() const { return io_.inbox(); }
+  void note_decode_failure(int from) { io_.note_decode_failure(from); }
+  [[nodiscard]] const CommCounters& sent() const { return io_.sent(); }
+  [[nodiscard]] std::uint64_t rounds() const { return io_.rounds(); }
+
+ private:
+  PartyIo& io_;
+  int victim_;
+};
+static_assert(NetEndpoint<RowTamperIo>);
+
+TEST(CoinGenTest, TamperedRowDisqualifiesItsVictim) {
+  // The dealer deals consistent shares to everyone but the victim, whose
+  // row carries one wrong element. The victim's beta for that dealer
+  // then misses F_dealer, so the victim is unqualified exactly when the
+  // dealer is in the agreed clique. A crashed player 0 gets matched with
+  // the victim in the clique step's matching, which keeps the dealer in
+  // the clique; without it the (victim, dealer) non-edge drops both.
+  const int n = 13, t = 2;
+  const unsigned m = 4;
+  const int victim = 1, dealer = 2;
+  int runs_with_dealer_in_clique = 0;
+  for (const bool crash_zero : {true, false}) {
+    for (std::uint64_t seed = 20; seed < 23; ++seed) {
+      SCOPED_TRACE("crash_zero=" + std::to_string(crash_zero) +
+                   " seed=" + std::to_string(seed));
+      const std::vector<int> faulty =
+          crash_zero ? std::vector<int>{0, dealer} : std::vector<int>{dealer};
+      auto genesis = trusted_dealer_coins<F>(n, t, 8, seed);
+      const auto run = run_coin_gen(
+          n, t, seed, m, faulty, [&](PartyIo& io) {
+            if (io.id() != dealer) return;  // player 0 crashes
+            RowTamperIo tio(io, victim);
+            CoinPool<F> pool;
+            for (auto& c : genesis[io.id()]) pool.add(std::move(c));
+            const auto result = coin_gen<F>(tio, m, pool);
+            if (!result.success) return;
+            const auto sealed = result.sealed_coins(t);
+            for (unsigned h = 0; h < m; ++h) {
+              (void)coin_expose<F>(tio, sealed[h], 100 + h);
+            }
+          });
+      const std::set<int> faulty_set(faulty.begin(), faulty.end());
+      expect_unanimous_coins(run, n, m, faulty_set);
+      const auto& clique = run.results[victim].clique;
+      const bool dealer_in_clique =
+          std::find(clique.begin(), clique.end(), dealer) != clique.end();
+      runs_with_dealer_in_clique += dealer_in_clique ? 1 : 0;
+      EXPECT_EQ(dealer_in_clique, crash_zero);
+      EXPECT_EQ(run.results[victim].qualified, !dealer_in_clique);
+      for (int i = 0; i < n; ++i) {
+        if (faulty_set.count(i) != 0 || i == victim) continue;
+        EXPECT_TRUE(run.results[i].qualified) << "player " << i;
+      }
+    }
+  }
+  EXPECT_GT(runs_with_dealer_in_clique, 0);
+}
+
+TEST(CoinGenTest, StoredBetaIsTheCombinationOfMyRow) {
+  // Qualification compares F_k(i) against the beta Bit-Gen kept, so that
+  // beta must be exactly batch_combine(my_row, r) whenever a row arrived,
+  // and absent when none did (crashed dealer 0) — including the
+  // tampered row's victim.
+  const int n = 13, t = 2;
+  const unsigned m_total = 5;
+  const int victim = 1, dealer = 2;
+  auto coins = trusted_dealer_coins<F>(n, t, 1, 30);
+  std::vector<BitGenAllOutcome<F>> outcomes(n);
+  Cluster cluster(n, t, 30);
+  cluster.run(
+      [&](PartyIo& io) {
+        outcomes[io.id()] = bit_gen_all<F>(
+            io, CoeffMatrix<F>::random(t, m_total, io.rng()), m_total, t,
+            coins[io.id()][0]);
+      },
+      {0, dealer},
+      [&](PartyIo& io) {
+        if (io.id() != dealer) return;
+        RowTamperIo tio(io, victim);
+        (void)bit_gen_all<F>(tio, CoeffMatrix<F>::random(t, m_total, io.rng()),
+                             m_total, t, coins[io.id()][0]);
+      });
+  for (int i = 1; i < n; ++i) {
+    if (i == dealer) continue;
+    const auto& out = outcomes[i];
+    ASSERT_TRUE(out.challenge.has_value()) << "player " << i;
+    for (int k = 0; k < n; ++k) {
+      const auto& view = out.views[k];
+      if (view.my_row.empty()) {
+        EXPECT_FALSE(view.my_beta.has_value()) << i << " <- " << k;
+        continue;
+      }
+      ASSERT_TRUE(view.my_beta.has_value()) << i << " <- " << k;
+      EXPECT_EQ(*view.my_beta, batch_combine<F>(view.my_row, *out.challenge))
+          << i << " <- " << k;
+    }
+    EXPECT_TRUE(out.views[0].my_row.empty()) << "player " << i;
+    // The tampered row's beta is off the decoded polynomial; every other
+    // player's is on it.
+    const auto& f_dealer = out.views[dealer].poly;
+    ASSERT_TRUE(f_dealer.has_value()) << "player " << i;
+    EXPECT_EQ((*f_dealer)(eval_point<F>(i)) == *out.views[dealer].my_beta,
+              i != victim)
+        << "player " << i;
+  }
 }
 
 }  // namespace

@@ -19,8 +19,10 @@ using F = GF2_64;
 
 TEST(ProactiveTest, ZeroSecretPolynomialShape) {
   Chacha rng(1);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto p = random_zero_secret<F>(4, rng);
+  const auto polys = random_zero_secret<F>(4, 50, rng);
+  ASSERT_EQ(polys.size(), 50u);
+  for (std::size_t j = 0; j < polys.size(); ++j) {
+    const auto p = polys.poly(j);
     EXPECT_TRUE(p(F::zero()).is_zero());
     EXPECT_LE(p.degree(), 4);
   }

@@ -18,7 +18,11 @@
 // the one format the transports ship.
 // If a budget fails because you *intentionally* changed a protocol's
 // cost, re-measure with `trace_report gen/report` and update the table —
-// in the same PR that changes the cost, with a line in EXPERIMENTS.md.
+// in the same change that moves the cost, with a line in EXPERIMENTS.md.
+// The add/mul columns assume Horner from the top coefficient (deg
+// multiplications per evaluation), Coin-Gen qualification against the
+// stored Bit-Gen beta, and Berlekamp-Welch decoding by interpolation
+// first (elimination only when the first d+1 points hold an error).
 
 #include <gtest/gtest.h>
 
@@ -149,22 +153,18 @@ TEST_F(TraceBudgetTest, VssPerPhaseBudget) {
   // the challenge exposure, one in the final decode).
   check_budgets(phases, {
       // proto, phase, rounds, adds, muls, interps, msgs, bytes
-      {"vss", "deal", 0, 28, 28, 0, 6, 126},
-      {"vss", "challenge", 1, 798, 987, 7, 42, 546},
+      {"vss", "deal", 0, 14, 14, 0, 6, 126},
+      {"vss", "challenge", 1, 133, 189, 7, 42, 546},
       {"vss", "respond", 1, 7, 7, 0, 42, 588},
-      {"vss", "interpolate", 0, 882, 1071, 7, 0, 0},
+      {"vss", "interpolate", 0, 140, 154, 7, 0, 0},
   });
 }
 
 TEST_F(TraceBudgetTest, BatchVssPerPhaseBudget) {
   const auto phases = trace_run([&](PartyIo& io) {
     auto pool = pool_for(io.id());
-    std::vector<Polynomial<F>> polys;
-    if (io.id() == 0) {
-      for (unsigned j = 0; j < kM; ++j) {
-        polys.push_back(Polynomial<F>::random(kT, io.rng()));
-      }
-    }
+    const auto polys = io.id() == 0 ? CoeffMatrix<F>::random(kT, kM, io.rng())
+                                    : CoeffMatrix<F>{};
     const auto out =
         batch_vss<F>(io, /*dealer=*/0, kT, kM, polys, pool.take());
     ASSERT_TRUE(out.accepted);
@@ -172,20 +172,17 @@ TEST_F(TraceBudgetTest, BatchVssPerPhaseBudget) {
   // Lemma 4: the batch costs what a single VSS costs — 2 rounds, 2
   // interpolations — independent of M (only deal bytes grow with M).
   check_budgets(phases, {
-      {"batch-vss", "deal", 0, 56, 56, 0, 6, 222},
-      {"batch-vss", "challenge", 1, 798, 987, 7, 42, 546},
+      {"batch-vss", "deal", 0, 28, 28, 0, 6, 222},
+      {"batch-vss", "challenge", 1, 133, 189, 7, 42, 546},
       {"batch-vss", "combine", 1, 28, 28, 0, 42, 588},
-      {"batch-vss", "interpolate", 0, 882, 1071, 7, 0, 0},
+      {"batch-vss", "interpolate", 0, 140, 154, 7, 0, 0},
   });
 }
 
 TEST_F(TraceBudgetTest, BitGenPerPhaseBudget) {
   const auto phases = trace_run([&](PartyIo& io) {
     auto pool = pool_for(io.id());
-    std::vector<Polynomial<F>> polys;
-    for (unsigned j = 0; j < kM; ++j) {
-      polys.push_back(Polynomial<F>::random(kT, io.rng()));
-    }
+    const auto polys = CoeffMatrix<F>::random(kT, kM, io.rng());
     const auto out = bit_gen_all<F>(io, polys, kM, kT, pool.take());
     for (int dealer = 0; dealer < kN; ++dealer) {
       ASSERT_TRUE(out.views[dealer].accepted());
@@ -194,10 +191,10 @@ TEST_F(TraceBudgetTest, BitGenPerPhaseBudget) {
   // Lemma 6: 2 rounds; n messages of size Mk (deal) + n^2 of size k
   // (challenge coin) + n^2 of size ~kn (batched combinations).
   check_budgets(phases, {
-      {"bitgen", "deal", 0, 392, 392, 0, 42, 1554},
-      {"bitgen", "challenge", 1, 798, 987, 7, 42, 546},
+      {"bitgen", "deal", 0, 196, 196, 0, 42, 1554},
+      {"bitgen", "challenge", 1, 133, 189, 7, 42, 546},
       {"bitgen", "combine", 1, 196, 196, 0, 42, 2898},
-      {"bitgen", "decode", 0, 6174, 7497, 49, 0, 0},
+      {"bitgen", "decode", 0, 980, 1078, 49, 0, 0},
   });
 }
 
@@ -212,13 +209,13 @@ TEST_F(TraceBudgetTest, CoinGenPerPhaseBudget) {
   // 3, one leader exposure (1) + one Phase-King BA (2(t+1) = 4) when the
   // first leader is honest: 10 rounds total.
   check_budgets(phases, {
-      {"coin-gen", "deal", 2, 7707, 9219, 56, 126, 5334},
-      {"coin-gen", "graph", 0, 588, 588, 0, 0, 0},
+      {"coin-gen", "deal", 2, 1603, 1757, 56, 126, 5334},
+      {"coin-gen", "graph", 0, 294, 294, 0, 0, 0},
       {"coin-gen", "clique", 0, 0, 0, 0, 0, 0},
       {"coin-gen", "gradecast", 3, 0, 0, 0, 126, 76986},
-      {"coin-gen", "leader", 1, 798, 987, 7, 42, 630},
+      {"coin-gen", "leader", 1, 98, 112, 7, 42, 630},
       {"coin-gen", "ba", 4, 0, 0, 0, 96, 630},
-      {"coin-gen", "output", 0, 455, 343, 0, 0, 0},
+      {"coin-gen", "output", 0, 161, 49, 0, 0, 0},
   });
   // Lemma-8 sanity: the whole run fits in 10 rounds at one iteration.
   std::uint64_t total_rounds = 0;
