@@ -17,8 +17,10 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -137,9 +139,10 @@ inline int frames_one(const std::uint8_t* data, std::size_t size) {
 // One dispatching target over every length-validated protocol decoder:
 // the Grade-Cast echo batch, the Coin-Gen clique message, the Bit-Gen
 // combination batch, the field-element row, the defensive ByteReader
-// itself, and the Berlekamp-Welch decoder (differentially, against its
-// elimination path). data[0] selects the decoder, data[1] parameterizes
-// it, the rest is the hostile body.
+// itself, and the Berlekamp-Welch decoder (differentially: against its
+// elimination path, and its quorum decode against the recount rule it
+// replaced). data[0] selects the decoder, data[1] parameterizes it, the
+// rest is the hostile body.
 inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
   using F = GF2_64;
   if (size < 2) return 0;
@@ -238,6 +241,31 @@ inline int protocol_decoders_one(const std::uint8_t* data, std::size_t size) {
       FUZZ_CHECK(fast == slow);
       FUZZ_CHECK(mid - before == charged && after - mid == charged);
       if (fast) FUZZ_CHECK(fast->degree() <= static_cast<int>(d));
+      // The dealing rounds' quorum decode must return what the rule it
+      // replaced returns: Berlekamp-Welch at min(d, cap), then a recount
+      // of agreements against the quorum. That rule used one t as degree
+      // and fault bound, so it covers the quorums n - t' for t' <= t.
+      for (const std::size_t need : {n - std::min(e, d), n - d}) {
+        const bool heard = n >= need && n >= d + 1;
+        const std::uint64_t start = field_counters().interpolations;
+        const auto quorum = decode_quorum<F>(pts, d, need);
+        const std::uint64_t split = field_counters().interpolations;
+        std::optional<Polynomial<F>> recount;
+        if (n >= need) {
+          const std::size_t cap = n > d ? (n - d - 1) / 2 : 0;
+          recount = berlekamp_welch<F>(
+              pts, d, static_cast<unsigned>(std::min<std::size_t>(d, cap)));
+          std::size_t agreements = 0;
+          for (const auto& pv : pts) {
+            if (recount && (*recount)(pv.x) == pv.y) ++agreements;
+          }
+          if (agreements < need) recount.reset();
+        }
+        const std::uint64_t end = field_counters().interpolations;
+        FUZZ_CHECK(quorum == recount);
+        FUZZ_CHECK(split - start == (heard ? 1u : 0u));
+        FUZZ_CHECK(end - split == (heard ? 1u : 0u));
+      }
       break;
     }
     default:

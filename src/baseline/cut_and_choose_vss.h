@@ -115,18 +115,9 @@ CutAndChooseOutcome<F> cut_and_choose_vss(
   }
   CutAndChooseOutcome<F> out;
   out.share = alpha;
+  const std::size_t need = static_cast<std::size_t>(n - io.t());
   for (unsigned j = 0; j < kappa; ++j) {
-    if (points[j].size() < static_cast<std::size_t>(n - io.t())) return out;
-    const unsigned max_errors = std::min(
-        static_cast<unsigned>(io.t()),
-        static_cast<unsigned>((points[j].size() - t - 1) / 2));
-    const auto decoded = berlekamp_welch<F>(points[j], t, max_errors);
-    if (!decoded) return out;
-    unsigned agreements = 0;
-    for (const auto& pv : points[j]) {
-      if ((*decoded)(pv.x) == pv.y) ++agreements;
-    }
-    if (agreements < static_cast<unsigned>(n - io.t())) return out;
+    if (!decode_quorum<F>(points[j], t, need)) return out;
   }
   out.accepted = true;
   return out;

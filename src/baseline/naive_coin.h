@@ -34,6 +34,7 @@
 #include "poly/berlekamp_welch.h"
 #include "poly/polynomial.h"
 #include "sharing/shamir.h"
+#include "coin/bitgen.h"
 
 namespace dprbg {
 
@@ -78,37 +79,22 @@ std::optional<F> naive_coin(Io& io, unsigned t, unsigned instance = 0) {
   // n separate decodes: the cost the paper eliminates.
   std::vector<std::vector<PointValue<F>>> points(n);
   for (const Msg* m : in.with_tag(open_tag)) {
-    // Exact-size batch validation before parsing; a malformed batch is
-    // rejected wholesale rather than contributing a valid-looking prefix.
-    if (m->body.size() !=
-        static_cast<std::size_t>(n) * (1 + F::kBytes)) {
-      continue;
-    }
-    ByteReader rd(m->body);
+    // The bit_gen_all batch format; a malformed batch is rejected
+    // wholesale rather than contributing a valid-looking prefix.
+    const auto batch = bitgen_detail::decode_combo_batch<F>(m->body, n);
+    if (!batch) continue;
     for (int dealer = 0; dealer < n; ++dealer) {
-      const bool present = rd.u8() != 0;
-      const F share = read_elem<F>(rd);
-      if (present) {
-        points[dealer].push_back({eval_point<F>(m->from), share});
+      if ((*batch)[dealer]) {
+        points[dealer].push_back({eval_point<F>(m->from), *(*batch)[dealer]});
       }
     }
   }
+  const std::size_t need = static_cast<std::size_t>(n - io.t());
   F coin = F::zero();
   bool any = false;
   for (int dealer = 0; dealer < n; ++dealer) {
-    if (points[dealer].size() < static_cast<std::size_t>(n - io.t())) {
-      continue;
-    }
-    const unsigned max_errors = std::min(
-        static_cast<unsigned>(io.t()),
-        static_cast<unsigned>((points[dealer].size() - t - 1) / 2));
-    const auto decoded = berlekamp_welch<F>(points[dealer], t, max_errors);
+    const auto decoded = decode_quorum<F>(points[dealer], t, need);
     if (!decoded) continue;
-    unsigned agreements = 0;
-    for (const auto& pv : points[dealer]) {
-      if ((*decoded)(pv.x) == pv.y) ++agreements;
-    }
-    if (agreements < static_cast<unsigned>(n - io.t())) continue;
     coin = coin + (*decoded)(F::zero());
     any = true;
   }

@@ -15,7 +15,9 @@
 // Without a broadcast channel players may disagree on whether a given
 // dealer's run succeeded — that is resolved by Coin-Gen's clique +
 // grade-cast + BA machinery (coin_gen.h); Bit-Gen itself only produces
-// each player's local view.
+// each player's local view. bit_gen_single is the dealing round of
+// vss/dealing_round.h; bit_gen_all runs n of them under one coin and
+// batches step 3 into one message per recipient.
 //
 // Round layout: the dealer's rows travel in the same round as the
 // challenge-coin shares. This is sound — the dealer commits to its rows
@@ -31,10 +33,8 @@
 
 #pragma once
 
-#include <map>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/arena.h"
@@ -43,62 +43,15 @@
 #include "gf/field_io.h"
 #include "net/endpoint.h"
 #include "net/msg.h"
-#include "poly/berlekamp_welch.h"
 #include "poly/interpolate.h"
 #include "poly/polynomial.h"
-#include "sharing/shamir.h"
-#include "vss/batch_vss.h"
+#include "vss/dealing_round.h"
 #include "coin/coin_expose.h"
 #include "coin/sealed_coin.h"
 
 namespace dprbg {
 
-// One player's local view of one dealer's Bit-Gen instance.
-template <FiniteField F>
-struct BitGenView {
-  // The row of shares this player received from the dealer (size M_total),
-  // or empty when the dealer sent nothing/garbage to us.
-  std::vector<F> my_row;
-  // This player's own combination beta of my_row under the challenge r,
-  // as computed and sent in step 3; nullopt when my_row is empty or r
-  // did not expose. Coin-Gen's qualification check reads it instead of
-  // recombining the row.
-  std::optional<F> my_beta;
-  // S: the combination shares received in step 3, keyed by sender.
-  std::map<int, F> combos;
-  // F(x): the decoded combined polynomial, or nullopt for "bottom".
-  std::optional<Polynomial<F>> poly;
-
-  [[nodiscard]] bool accepted() const { return poly.has_value(); }
-};
-
 namespace bitgen_detail {
-
-// Decode step (Fig. 4 step 5): find deg<=t F agreeing with >= n - t of
-// the received combination shares.
-template <FiniteField F>
-std::optional<Polynomial<F>> decode_combination(
-    const std::map<int, F>& combos, int n, unsigned t) {
-  std::vector<PointValue<F>> points;
-  points.reserve(combos.size());
-  for (const auto& [sender, beta] : combos) {
-    points.push_back({eval_point<F>(sender), beta});
-  }
-  const std::size_t need =
-      static_cast<std::size_t>(n) - static_cast<std::size_t>(t);
-  if (points.size() < need) return std::nullopt;
-  const unsigned max_errors = std::min<unsigned>(
-      static_cast<unsigned>(points.size() - need),
-      static_cast<unsigned>((points.size() - t - 1) / 2));
-  auto poly = berlekamp_welch<F>(points, t, max_errors);
-  if (!poly) return std::nullopt;
-  std::size_t agreements = 0;
-  for (const auto& pv : points) {
-    if ((*poly)(pv.x) == pv.y) ++agreements;
-  }
-  if (agreements < need) return std::nullopt;
-  return poly;
-}
 
 // Batched combination message (bit_gen_all step 3): per dealer, one
 // presence flag + one field element. Exact-size validation up front; a
@@ -122,80 +75,79 @@ std::optional<std::vector<std::optional<F>>> decode_combo_batch(
   return out;
 }
 
+// Step 3 for every dealer at once: sets each view's my_beta to the Horner
+// combination of its row under r (nullopt for an empty row) and sends
+// everyone the batched message. The combinations run through the blocked
+// kernel (one SoA pass over the share matrix, no per-row allocation);
+// wire format and per-row op counts are the scalar per-dealer loop's.
+template <FiniteField F, NetEndpoint Io>
+void send_combo_batch(Io& io, std::span<BitGenView<F>> views,
+                      std::size_t m_total, F r, std::uint32_t tag) {
+  ArenaScope scope(scratch_arena());
+  ScratchVec<const F*> rows(scope, views.size());
+  std::size_t present = 0;
+  for (const auto& view : views) {
+    if (!view.my_row.empty()) rows[present++] = view.my_row.data();
+  }
+  ScratchVec<F> betas(scope, present);
+  batch_combine_block<F>(std::span<const F* const>(rows.data(), present),
+                         m_total, r, betas);
+  ByteWriter w(views.size() * (1 + F::kBytes));
+  std::size_t next_beta = 0;
+  for (auto& view : views) {
+    if (!view.my_row.empty()) view.my_beta = betas[next_beta++];
+    w.u8(view.my_beta ? 1 : 0);
+    write_elem(w, view.my_beta.value_or(F::zero()));
+  }
+  io.send_all(tag, w.data());
+}
+
+// Collects the batched messages of senders first_from .. first_from +
+// count - 1 into each dealer's combos, keyed by the sender's offset
+// (sender - first_from, the index of its evaluation point). Anyone else's
+// message is ignored; a malformed one drops its sender from every
+// instance and is scored.
+template <FiniteField F, NetEndpoint Io>
+void collect_combo_batches(Io& io, const Inbox& in, std::uint32_t tag,
+                           int first_from, int count,
+                           std::span<BitGenView<F>> views) {
+  const int dealers = static_cast<int>(views.size());
+  for (const Msg* msg : in.with_tag(tag)) {
+    const int offset = msg->from - first_from;
+    if (offset < 0 || offset >= count) continue;
+    const auto batch = decode_combo_batch<F>(msg->body, dealers);
+    if (!batch) {
+      io.note_decode_failure(msg->from);
+      continue;
+    }
+    for (int dealer = 0; dealer < dealers; ++dealer) {
+      if ((*batch)[dealer]) views[dealer].combos.emplace(offset, *(*batch)[dealer]);
+    }
+  }
+}
+
 }  // namespace bitgen_detail
+
+inline constexpr DealingRound kBitGenRound{ProtoId::kBitGen, 1, "bitgen",
+                                           "combine", "decode"};
 
 // Single-dealer Bit-Gen, exactly Fig. 4 (used standalone by tests and the
 // E6 benchmark). The dealer passes its M_total polynomials; everyone else
-// passes an empty matrix. Consumes 2 rounds.
+// passes an empty matrix. Consumes 2 rounds. A player without a row
+// announces nothing.
 template <FiniteField F, NetEndpoint Io>
 BitGenView<F> bit_gen_single(Io& io, int dealer, unsigned m_total,
                              unsigned t, const CoeffMatrix<F>& dealer_polys,
                              const SealedCoin<F>& challenge_coin,
                              unsigned instance = 0) {
-  const std::uint32_t row_tag = make_tag(ProtoId::kBitGen, instance, 0);
-  const std::uint32_t combo_tag = make_tag(ProtoId::kBitGen, instance, 1);
-  const int n = io.n();
-
-  // Dealer step 1: distribute rows.
-  {
-    TraceSpan deal(io, "bitgen", "deal");
-    if (io.id() == dealer) {
-      DPRBG_CHECK(dealer_polys.size() == m_total);
-      ArenaScope scope(scratch_arena());
-      ScratchVec<F> vals(scope, m_total);
-      for (int i = 0; i < n; ++i) {
-        eval_polys_block<F>(dealer_polys, eval_point<F>(i), vals);
-        ByteWriter w(m_total * F::kBytes);
-        write_elem_row<F>(w, vals);
-        io.send(i, row_tag, std::move(w).take());
-      }
-    }
-  }
-
-  // Step 2: expose the challenge (same round as row delivery).
-  TraceSpan challenge(io, "bitgen", "challenge");
-  const std::optional<F> r_val = coin_expose<F>(io, challenge_coin, instance);
-  challenge.close();
-
-  BitGenView<F> view;
-  if (const Msg* mine = io.inbox().from(dealer, row_tag)) {
-    if (auto row = decode_elem_row<F>(mine->body, m_total)) {
-      view.my_row = std::move(*row);
-    }
-  }
-  if (!r_val.has_value()) {
-    io.sync();
-    return view;
-  }
-
-  // Step 3: send the Horner combination to all players.
-  TraceSpan combine(io, "bitgen", "combine");
-  if (!view.my_row.empty()) {
-    view.my_beta = batch_combine<F>(view.my_row, *r_val);
-    ByteWriter w;
-    write_elem(w, *view.my_beta);
-    io.send_all(combo_tag, w.data());
-  }
-  const Inbox& in = io.sync();
-  combine.close();
-
-  // Steps 4-5: collect S and decode.
-  TraceSpan decode(io, "bitgen", "decode");
-  for (const Msg* m : in.with_tag(combo_tag)) {
-    const auto beta = decode_elem_row<F>(m->body, 1);
-    if (!beta) {
-      io.note_decode_failure(m->from);
-      continue;
-    }
-    view.combos.emplace(m->from, (*beta)[0]);
-  }
-  view.poly = bitgen_detail::decode_combination<F>(view.combos, n, t);
-  if (!view.poly && tracer().enabled()) {
-    trace_point("bitgen", "decode-fail", io.id(), io.rounds(),
-                "dealer=" + std::to_string(dealer), io.stream(),
-                io.committee());
-  }
-  return view;
+  return dealing_round<F>(
+             io, kBitGenRound, dealer, t, m_total, dealer_polys,
+             challenge_coin, instance,
+             [](std::span<const F> row, F r) -> std::optional<F> {
+               if (row.empty()) return std::nullopt;
+               return batch_combine<F>(row, r);
+             })
+      .view;
 }
 
 // All n Bit-Gen instances in parallel with one shared challenge coin
@@ -223,85 +175,34 @@ BitGenAllOutcome<F> bit_gen_all(Io& io, const CoeffMatrix<F>& my_polys,
   // Everyone deals (step 1 of its own instance).
   {
     TraceSpan deal(io, "bitgen", "deal");
-    ArenaScope scope(scratch_arena());
-    ScratchVec<F> vals(scope, m_total);
-    for (int i = 0; i < n; ++i) {
-      eval_polys_block<F>(my_polys, eval_point<F>(i), vals);
-      ByteWriter w(m_total * F::kBytes);
-      write_elem_row<F>(w, vals);
-      io.send(i, row_tag, std::move(w).take());
-    }
+    deal_rows<F>(io, my_polys, row_tag, 0, n);
   }
 
   BitGenAllOutcome<F> out;
   out.views.resize(n);
   TraceSpan challenge(io, "bitgen", "challenge");
-  const std::optional<F> r_val = coin_expose<F>(io, challenge_coin, instance);
+  out.challenge = coin_expose<F>(io, challenge_coin, instance);
   challenge.close();
   for (int dealer = 0; dealer < n; ++dealer) {
-    if (const Msg* m = io.inbox().from(dealer, row_tag)) {
-      if (auto row = decode_elem_row<F>(m->body, m_total)) {
-        out.views[dealer].my_row = std::move(*row);
-      }
-    }
+    out.views[dealer].my_row = received_row<F>(io, dealer, row_tag, m_total);
   }
-  if (!r_val.has_value()) {
+  if (!out.challenge.has_value()) {
     io.sync();
     return out;
   }
-  out.challenge = r_val;
 
-  // Batched combination message: one presence flag + beta per dealer.
-  // The Horner combinations for all present dealers run through the
-  // blocked kernel (one SoA pass over the share matrix); wire format and
-  // per-row op counts are identical to the scalar per-dealer loop.
   TraceSpan combine(io, "bitgen", "combine");
-  {
-    ArenaScope scope(scratch_arena());
-    ScratchVec<const F*> rows(scope, n);
-    std::size_t present = 0;
-    for (int dealer = 0; dealer < n; ++dealer) {
-      const auto& row = out.views[dealer].my_row;
-      if (!row.empty()) rows[present++] = row.data();
-    }
-    ScratchVec<F> betas(scope, present);
-    batch_combine_block<F>(std::span<const F* const>(rows.data(), present),
-                           m_total, *r_val, betas);
-    ByteWriter w(static_cast<std::size_t>(n) * (1 + F::kBytes));
-    std::size_t next_beta = 0;
-    for (int dealer = 0; dealer < n; ++dealer) {
-      auto& view = out.views[dealer];
-      if (!view.my_row.empty()) view.my_beta = betas[next_beta++];
-      w.u8(view.my_beta ? 1 : 0);
-      write_elem(w, view.my_beta.value_or(F::zero()));
-    }
-    io.send_all(combo_tag, w.data());
-  }
+  bitgen_detail::send_combo_batch<F>(io, std::span(out.views), m_total,
+                                     *out.challenge, combo_tag);
   const Inbox& in = io.sync();
   combine.close();
 
   TraceSpan decode(io, "bitgen", "decode");
-  for (const Msg* m : in.with_tag(combo_tag)) {
-    const auto batch = bitgen_detail::decode_combo_batch<F>(m->body, n);
-    if (!batch) {
-      // malformed: drop the sender from every instance, and score it
-      io.note_decode_failure(m->from);
-      continue;
-    }
-    for (int dealer = 0; dealer < n; ++dealer) {
-      if ((*batch)[dealer]) {
-        out.views[dealer].combos.emplace(m->from, *(*batch)[dealer]);
-      }
-    }
-  }
+  bitgen_detail::collect_combo_batches<F>(io, in, combo_tag, 0, n,
+                                          std::span(out.views));
   for (int dealer = 0; dealer < n; ++dealer) {
-    out.views[dealer].poly = bitgen_detail::decode_combination<F>(
-        out.views[dealer].combos, n, t);
-    if (!out.views[dealer].poly && tracer().enabled()) {
-      trace_point("bitgen", "decode-fail", io.id(), io.rounds(),
-                  "dealer=" + std::to_string(dealer), io.stream(),
-                  io.committee());
-    }
+    decode_view<F>(io, out.views[dealer], t,
+                   static_cast<std::size_t>(n) - t, "bitgen", dealer);
   }
   return out;
 }

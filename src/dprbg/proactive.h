@@ -33,7 +33,6 @@
 
 #pragma once
 
-#include <map>
 #include <span>
 #include <vector>
 
@@ -43,6 +42,7 @@
 #include "poly/polynomial.h"
 #include "coin/bitgen.h"
 #include "coin/sealed_coin.h"
+#include "vss/dealing_round.h"
 
 namespace dprbg {
 
@@ -224,14 +224,7 @@ ReshareResult<F> cross_roster_reshare(Io& io, int n_old, unsigned t_new,
       // Polynomial::random_with_secret).
       auto polys = CoeffMatrix<F>::random(t_new, m_total, io.rng());
       for (unsigned h = 0; h < m; ++h) polys.at(0, 1 + h) = *coins[h].share;
-      ArenaScope scope(scratch_arena());
-      ScratchVec<F> vals(scope, m_total);
-      for (int j = 0; j < n_new; ++j) {
-        eval_polys_block<F>(polys, eval_point<F>(j), vals);
-        ByteWriter w(m_total * F::kBytes);
-        write_elem_row<F>(w, vals);
-        io.send(n_old + j, row_tag, std::move(w).take());
-      }
+      deal_rows<F>(io, polys, row_tag, n_old, n_new);
     }
   }
 
@@ -241,15 +234,11 @@ ReshareResult<F> cross_roster_reshare(Io& io, int n_old, unsigned t_new,
   const std::optional<F> r_val = coin_expose<F>(io, challenge_coin, instance);
   challenge.close();
 
-  // New members harvest their rows (indexed by dealer = old-local id).
-  std::vector<std::vector<F>> rows(static_cast<std::size_t>(n_old));
+  // New members harvest their rows (view index = dealer = old-local id).
+  std::vector<BitGenView<F>> views(static_cast<std::size_t>(n_old));
   if (!old_side) {
     for (int dealer = 0; dealer < n_old; ++dealer) {
-      if (const Msg* msg = io.inbox().from(dealer, row_tag)) {
-        if (auto row = decode_elem_row<F>(msg->body, m_total)) {
-          rows[static_cast<std::size_t>(dealer)] = std::move(*row);
-        }
-      }
+      views[dealer].my_row = received_row<F>(io, dealer, row_tag, m_total);
     }
   }
   if (!r_val.has_value()) {
@@ -262,56 +251,22 @@ ReshareResult<F> cross_roster_reshare(Io& io, int n_old, unsigned t_new,
   // members receive them too, so both sides agree on the accepted set.
   TraceSpan combine(io, "reshare", "combine");
   if (!old_side) {
-    // Blocked Horner combinations over the present dealers' rows, same
-    // wire format and per-row op counts as the scalar loop (bitgen.h has
-    // the same shape).
-    ArenaScope scope(scratch_arena());
-    ScratchVec<const F*> row_ptrs(scope, static_cast<std::size_t>(n_old));
-    std::size_t present = 0;
-    for (int dealer = 0; dealer < n_old; ++dealer) {
-      const auto& row = rows[static_cast<std::size_t>(dealer)];
-      if (!row.empty()) row_ptrs[present++] = row.data();
-    }
-    ScratchVec<F> betas(scope, present);
-    batch_combine_block<F>(
-        std::span<const F* const>(row_ptrs.data(), present), m_total,
-        *r_val, betas);
-    ByteWriter w(static_cast<std::size_t>(n_old) * (1 + F::kBytes));
-    std::size_t next_beta = 0;
-    for (int dealer = 0; dealer < n_old; ++dealer) {
-      const bool have = !rows[static_cast<std::size_t>(dealer)].empty();
-      w.u8(have ? 1 : 0);
-      write_elem(w, have ? betas[next_beta++] : F::zero());
-    }
-    io.send_all(combo_tag, w.data());
+    bitgen_detail::send_combo_batch<F>(io, std::span(views), m_total, *r_val,
+                                       combo_tag);
   }
   const Inbox& in = io.sync();
   combine.close();
 
   // Decode each dealer's combination over the NEW roster's eval points:
-  // combos are keyed by NEW-local sender id so decode_combination's
-  // eval_point(sender) lands on the points the dealers evaluated at.
+  // combos are keyed by NEW-local sender id, the points the dealers
+  // evaluated at.
   TraceSpan decode(io, "reshare", "decode");
-  std::vector<std::map<int, F>> combos(static_cast<std::size_t>(n_old));
-  for (const Msg* msg : in.with_tag(combo_tag)) {
-    if (msg->from < n_old) continue;  // only the new roster combines
-    const auto batch = bitgen_detail::decode_combo_batch<F>(msg->body, n_old);
-    if (!batch) {
-      // malformed: drop sender from every instance, and score it
-      io.note_decode_failure(msg->from);
-      continue;
-    }
-    for (int dealer = 0; dealer < n_old; ++dealer) {
-      if ((*batch)[dealer]) {
-        combos[static_cast<std::size_t>(dealer)].emplace(
-            msg->from - n_old, *(*batch)[dealer]);
-      }
-    }
-  }
+  bitgen_detail::collect_combo_batches<F>(io, in, combo_tag, n_old, n_new,
+                                          std::span(views));
   for (int dealer = 0; dealer < n_old; ++dealer) {
-    const auto poly = bitgen_detail::decode_combination<F>(
-        combos[static_cast<std::size_t>(dealer)], n_new, t_new);
-    if (poly.has_value()) result.accepted_dealers.push_back(dealer);
+    decode_view<F>(io, views[dealer], t_new,
+                   static_cast<std::size_t>(n_new) - t_new, "reshare", dealer);
+    if (views[dealer].accepted()) result.accepted_dealers.push_back(dealer);
   }
   if (result.accepted_dealers.size() < t_old + 1) return result;
   result.resharers.assign(result.accepted_dealers.begin(),
@@ -330,7 +285,7 @@ ReshareResult<F> cross_roster_reshare(Io& io, int n_old, unsigned t_new,
   }
 
   for (int dealer : result.resharers) {
-    if (rows[static_cast<std::size_t>(dealer)].empty()) return result;
+    if (views[dealer].my_row.empty()) return result;
   }
   // Lagrange coefficients at 0 over the resharers' OLD eval points:
   // lambda_i = prod_{k != i} x_k / (x_k - x_i).
@@ -349,9 +304,7 @@ ReshareResult<F> cross_roster_reshare(Io& io, int n_old, unsigned t_new,
   for (unsigned h = 0; h < m; ++h) {
     F share = F::zero();
     for (std::size_t i = 0; i < result.resharers.size(); ++i) {
-      const auto& row =
-          rows[static_cast<std::size_t>(result.resharers[i])];
-      share = share + lambda[i] * row[h + 1];
+      share = share + lambda[i] * views[result.resharers[i]].my_row[h + 1];
     }
     result.coins.push_back(SealedCoin<F>{share, t_new});
   }

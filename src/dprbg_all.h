@@ -37,6 +37,7 @@
 
 // Verifiable secret sharing (Section 3).
 #include "vss/batch_vss.h"
+#include "vss/dealing_round.h"
 #include "vss/soundness.h"
 #include "vss/vss.h"
 

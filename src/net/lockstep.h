@@ -67,8 +67,7 @@ class Endpoint;
 class LockstepCore;
 class TcpCluster;
 
-// The comm charge of one envelope: body plus the header under the active
-// wire version (the fixed 14-byte v0 header, or v1's varint framing).
+// The comm charge of one envelope: body plus v1's varint header.
 // Physical framing (TCP length prefixes, bundle headers) is never
 // charged, which keeps comm ledgers identical across links.
 [[nodiscard]] std::uint64_t lockstep_wire_bytes(const Msg& msg);

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <vector>
@@ -130,6 +131,25 @@ std::optional<Polynomial<F>> berlekamp_welch(
   if (max_errors == 0) return std::nullopt;
   // The interpolation above is this decode's one counted interpolation.
   return bw_detail::solve_key_equation<F>(points, max_degree, max_errors);
+}
+
+// The acceptance rule of every dealing round (Figs. 2-4) and baseline:
+// the polynomial of degree <= `degree` that agrees with at least `need`
+// of the P points, or nullopt when fewer than `need` points arrived or
+// none fits. Berlekamp-Welch runs with max_errors = min(P - need,
+// floor((P - degree - 1) / 2)): the first term is the quorum itself,
+// since the decoder returns only a polynomial within max_errors of the
+// points, and the second keeps that polynomial unique. One counted
+// interpolation whenever P >= need and P >= degree + 1.
+template <FiniteField F>
+std::optional<Polynomial<F>> decode_quorum(
+    std::span<const PointValue<F>> points, unsigned degree,
+    std::size_t need) {
+  const std::size_t p = points.size();
+  if (p < need) return std::nullopt;
+  const std::size_t cap = p > degree ? (p - degree - 1) / 2 : 0;
+  return berlekamp_welch<F>(points, degree,
+                            static_cast<unsigned>(std::min(p - need, cap)));
 }
 
 }  // namespace dprbg

@@ -10,6 +10,9 @@
 //   3. P_i broadcasts beta_i.
 //   4. Interpolate F(x) through beta_1..beta_n; accept iff deg(F) <= t.
 //
+// The dealing round of vss/dealing_round.h runs these steps, with the
+// Horner combination batch_combine.
+//
 // Soundness (Lemma 3): if some f_j has degree > t, acceptance requires r
 // to be a root of a nonzero degree-M polynomial fixed before r was
 // exposed — probability at most M/p.
@@ -31,29 +34,14 @@
 #include <span>
 #include <vector>
 
-#include "common/arena.h"
-#include "common/trace.h"
 #include "gf/field_concept.h"
-#include "gf/field_io.h"
 #include "net/endpoint.h"
 #include "net/msg.h"
-#include "poly/berlekamp_welch.h"
 #include "poly/polynomial.h"
-#include "sharing/shamir.h"
-#include "coin/coin_expose.h"
 #include "coin/sealed_coin.h"
+#include "vss/dealing_round.h"
 
 namespace dprbg {
-
-// Horner combination of Fig. 3 / Fig. 4: sum_{j=1..M} shares[j-1] * r^j.
-template <FiniteField F>
-F batch_combine(std::span<const F> shares, F r) {
-  F acc = F::zero();
-  for (std::size_t j = shares.size(); j-- > 0;) {
-    acc = (acc + shares[j]) * r;
-  }
-  return acc;
-}
 
 template <FiniteField F>
 struct BatchVssOutcome {
@@ -63,96 +51,35 @@ struct BatchVssOutcome {
   F challenge = F::zero();
 };
 
+inline constexpr DealingRound kBatchVssRound{
+    ProtoId::kBatchVss, 2, "batch-vss", "combine", "interpolate"};
+
 // Distribution (1 round) + challenge exposure (1 round) + combination
 // broadcast and local decision (1 round). The dealer passes its M
 // polynomials; everyone else passes an empty matrix. `expected_m` is
-// the publicly known batch size M.
+// the publicly known batch size M. The dealer hands every player its row
+// of the share matrix in a single message of M field elements (size Mk
+// bits, matching Lemma 6's accounting); one interpolation certifies all
+// M sharings at once.
 template <FiniteField F, NetEndpoint Io>
 BatchVssOutcome<F> batch_vss(Io& io, int dealer, unsigned t,
                              unsigned expected_m,
                              const CoeffMatrix<F>& dealer_polys,
                              const SealedCoin<F>& challenge_coin,
                              unsigned instance = 0) {
-  const std::uint32_t share_tag = make_tag(ProtoId::kBatchVss, instance, 0);
-  const std::uint32_t combo_tag = make_tag(ProtoId::kBatchVss, instance, 2);
-  const int n = io.n();
-
-  // Distribution round: the dealer hands every player its row of the
-  // share matrix in a single message of M field elements (size Mk bits,
-  // matching Lemma 6's accounting).
-  {
-    TraceSpan deal(io, "batch-vss", "deal");
-    if (io.id() == dealer) {
-      DPRBG_CHECK(dealer_polys.size() == expected_m);
-      ArenaScope scope(scratch_arena());
-      ScratchVec<F> vals(scope, expected_m);
-      for (int i = 0; i < n; ++i) {
-        eval_polys_block<F>(dealer_polys, eval_point<F>(i), vals);
-        ByteWriter w(expected_m * F::kBytes);
-        write_elem_row<F>(w, vals);
-        io.send(i, share_tag, std::move(w).take());
-      }
-    }
-  }
-
-  // Step 1: expose the challenge (delivers the shares at the same sync;
-  // the dealer committed before r became known).
-  TraceSpan challenge(io, "batch-vss", "challenge");
-  const std::optional<F> r_val = coin_expose<F>(io, challenge_coin, instance);
-  challenge.close();
-
+  // A player the dealer skipped announces the combination of its zero
+  // row (the broadcast model has every player announce).
+  auto round = dealing_round<F>(
+      io, kBatchVssRound, dealer, t, expected_m, dealer_polys,
+      challenge_coin, instance,
+      [](std::span<const F> row, F r) -> std::optional<F> {
+        return batch_combine<F>(row, r);
+      });
   BatchVssOutcome<F> out;
-  out.shares.assign(expected_m, F::zero());
-  if (const Msg* mine = io.inbox().from(dealer, share_tag)) {
-    // Exactly M elements, size-validated before any allocation.
-    if (auto received = decode_elem_row<F>(mine->body, expected_m)) {
-      out.shares = std::move(*received);
-    }
-  }
-  if (!r_val.has_value()) {
-    io.sync();
-    return out;
-  }
-  const F r = *r_val;
-  out.challenge = r;
-
-  // Steps 2-3: Horner combination, broadcast.
-  TraceSpan combine(io, "batch-vss", "combine");
-  ByteWriter w;
-  write_elem(w, batch_combine<F>(out.shares, r));
-  io.send_all(combo_tag, w.data());
-  const Inbox& in = io.sync();
-  combine.close();
-
-  // Step 4: one interpolation (Berlekamp-Welch, tolerating faulty
-  // announcers as in vss.h) certifies all M sharings at once.
-  TraceSpan interpolate(io, "batch-vss", "interpolate");
-  std::vector<PointValue<F>> points;
-  for (const Msg* m : in.with_tag(combo_tag)) {
-    const auto beta = decode_elem_row<F>(m->body, 1);
-    if (!beta) {
-      io.note_decode_failure(m->from);
-      continue;
-    }
-    points.push_back({eval_point<F>(m->from), (*beta)[0]});
-  }
-  if (points.size() < static_cast<std::size_t>(n - static_cast<int>(t))) {
-    return out;
-  }
-  const unsigned max_errors =
-      std::min(static_cast<unsigned>(io.t()),
-               static_cast<unsigned>((points.size() - t - 1) / 2));
-  const auto decoded = berlekamp_welch<F>(points, t, max_errors);
-  if (!decoded) {
-    trace_point("batch-vss", "decode-fail", io.id(), io.rounds(),
-                "berlekamp-welch failed", io.stream(), io.committee());
-    return out;
-  }
-  unsigned agreements = 0;
-  for (const auto& pv : points) {
-    if ((*decoded)(pv.x) == pv.y) ++agreements;
-  }
-  out.accepted = agreements >= static_cast<unsigned>(n) - t;
+  out.accepted = round.view.accepted();
+  out.shares = std::move(round.view.my_row);
+  if (out.shares.empty()) out.shares.assign(expected_m, F::zero());
+  out.challenge = round.challenge.value_or(F::zero());
   return out;
 }
 

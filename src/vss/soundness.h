@@ -150,8 +150,9 @@ SoundnessResult batch_soundness_trials(int n, unsigned t, unsigned m,
 }
 
 // Lemma 5: Bit-Gen soundness — same dealer strategy, but acceptance runs
-// through the broadcast-free decision rule (Berlekamp-Welch with >= n - t
-// agreement) and t of the combination shares are adversarial garbage.
+// through the production decision rule (decode_quorum: Berlekamp-Welch
+// with >= n - t agreement) and t of the combination shares are
+// adversarial garbage.
 template <FiniteField F>
 SoundnessResult bitgen_soundness_trials(int n, unsigned t, unsigned m,
                                         std::uint64_t trials,
@@ -183,16 +184,8 @@ SoundnessResult bitgen_soundness_trials(int n, unsigned t, unsigned m,
       points.push_back({x, beta});
     }
     ++result.trials;
-    const unsigned need = static_cast<unsigned>(n) - t;
-    const unsigned max_errors = std::min(
-        t, static_cast<unsigned>((points.size() - t - 1) / 2));
-    const auto decoded = berlekamp_welch<F>(points, t, max_errors);
-    if (decoded) {
-      unsigned agreements = 0;
-      for (const auto& pv : points) {
-        if ((*decoded)(pv.x) == pv.y) ++agreements;
-      }
-      if (agreements >= need) ++result.accepts;
+    if (decode_quorum<F>(points, t, static_cast<std::size_t>(n) - t)) {
+      ++result.accepts;
     }
   }
   return result;

@@ -14,6 +14,9 @@
 //   3. P_i broadcasts beta_i = alpha_i + r * gamma_i.
 //   4. Interpolate F(x) through beta_1..beta_n; accept iff deg(F) <= t.
 //
+// Steps 1-4 are the dealing round of vss/dealing_round.h, with
+// alpha_i + r * gamma_i as its combination.
+//
 // Soundness (Lemma 1): if no degree-<=t polynomial matches the honest
 // shares, acceptance requires the dealer to have guessed -a_j / r before
 // r was exposed — probability at most 1/p.
@@ -26,18 +29,13 @@
 #include <array>
 #include <optional>
 #include <span>
-#include <vector>
 
-#include "common/trace.h"
 #include "gf/field_concept.h"
-#include "gf/field_io.h"
 #include "net/endpoint.h"
 #include "net/msg.h"
-#include "poly/berlekamp_welch.h"
 #include "poly/polynomial.h"
-#include "sharing/shamir.h"
-#include "coin/coin_expose.h"
 #include "coin/sealed_coin.h"
+#include "vss/dealing_round.h"
 
 namespace dprbg {
 
@@ -52,6 +50,9 @@ struct VssOutcome {
   F challenge = F::zero();
 };
 
+inline constexpr DealingRound kVssRound{ProtoId::kVss, 2, "vss", "respond",
+                                        "interpolate"};
+
 // Runs the full protocol: share distribution (1 round), challenge
 // exposure (1 round), combination broadcast + local decision (1 round).
 // `dealer_poly` must be set iff io.id() == dealer; a *cheating* dealer
@@ -62,106 +63,28 @@ VssOutcome<F> vss_share_and_verify(
     Io& io, int dealer, unsigned t,
     const std::optional<Polynomial<F>>& dealer_poly,
     const SealedCoin<F>& challenge_coin, unsigned instance = 0) {
-  const std::uint32_t share_tag = make_tag(ProtoId::kVss, instance, 0);
-  const std::uint32_t combo_tag = make_tag(ProtoId::kVss, instance, 2);
-  const int n = io.n();
-
-  // Step 1: dealer distributes alpha_i = f(i) and gamma_i = g(i).
-  {
-    TraceSpan deal(io, "vss", "deal");
-    if (io.id() == dealer) {
-      DPRBG_CHECK(dealer_poly.has_value());
-      const std::array<Polynomial<F>, 2> fg{
-          *dealer_poly, Polynomial<F>::random(t, io.rng())};
-      const auto polys = CoeffMatrix<F>::from_polys(fg);
-      std::array<F, 2> vals;
-      for (int i = 0; i < n; ++i) {
-        eval_polys_block<F>(polys, eval_point<F>(i), vals);
-        ByteWriter w(2 * F::kBytes);
-        write_elem(w, vals[0]);
-        write_elem(w, vals[1]);
-        io.send(i, share_tag, std::move(w).take());
-      }
-    }
+  // Step 1: the dealer's batch is f (the sharing under test) and a fresh
+  // blinding polynomial g, so each player P_i holds (alpha_i, gamma_i).
+  CoeffMatrix<F> fg;
+  if (io.id() == dealer) {
+    DPRBG_CHECK(dealer_poly.has_value());
+    const std::array<Polynomial<F>, 2> polys{
+        *dealer_poly, Polynomial<F>::random(t, io.rng())};
+    fg = CoeffMatrix<F>::from_polys(polys);
   }
-
-  // Step 2: expose the challenge coin (consumes one round; the share
-  // messages land at this sync as well).
-  // Note ordering: the dealer committed to f and g in the round *before*
-  // r is revealed — the crux of Lemma 1.
-  F alpha = F::zero();
-  F gamma = F::zero();
-  {
-    // Both the share delivery and the coin shares arrive at the next
-    // sync; coin_expose performs it.
-    TraceSpan challenge(io, "vss", "challenge");
-    const std::optional<F> r_val =
-        coin_expose<F>(io, challenge_coin, instance);
-    challenge.close();
-    const Msg* mine = io.inbox().from(dealer, share_tag);
-    if (mine != nullptr) {
-      // Exactly (alpha, gamma), size-validated before reading.
-      if (const auto pair = decode_elem_row<F>(mine->body, 2)) {
-        alpha = (*pair)[0];
-        gamma = (*pair)[1];
-      }
-    }
-    if (!r_val.has_value()) {
-      // Seed coin failed to expose: abort-reject (cannot happen within the
-      // model's fault bounds).
-      io.sync();  // keep lockstep with players broadcasting below
-      return {};
-    }
-    const F r = *r_val;
-
-    // Step 3: broadcast beta_i = alpha_i + r * gamma_i.
-    TraceSpan respond(io, "vss", "respond");
-    ByteWriter w;
-    write_elem(w, alpha + r * gamma);
-    io.send_all(combo_tag, w.data());
-    const Inbox& in = io.sync();
-    respond.close();
-    TraceSpan interpolate(io, "vss", "interpolate");
-
-    // Step 4: interpolate through the broadcast values; accept iff a
-    // degree-<=t polynomial explains all honest contributions. Faulty
-    // players may broadcast garbage or stay silent, so we decode with
-    // Berlekamp-Welch tolerating up to t errors and require agreement
-    // with at least n - t of the announced points (n >= 3t+1 makes the
-    // decoding unambiguous).
-    std::vector<PointValue<F>> points;
-    for (const Msg* m : in.with_tag(combo_tag)) {
-      const auto beta = decode_elem_row<F>(m->body, 1);
-      if (!beta) {
-        io.note_decode_failure(m->from);
-        continue;
-      }
-      points.push_back({eval_point<F>(m->from), (*beta)[0]});
-    }
-    VssOutcome<F> out;
-    out.challenge = r;
-    out.share = alpha;
-    if (points.size() < static_cast<std::size_t>(n - static_cast<int>(t))) {
-      return out;  // not enough announcements to certify anything
-    }
-    const unsigned max_errors = std::min(
-        static_cast<unsigned>(io.t()),
-        static_cast<unsigned>((points.size() - t - 1) / 2));
-    const auto decoded = berlekamp_welch<F>(points, t, max_errors);
-    if (!decoded) {
-      trace_point("vss", "decode-fail", io.id(), io.rounds(),
-                  "berlekamp-welch failed", io.stream(), io.committee());
-      return out;
-    }
-    // Require the decoded polynomial to explain >= n - t announcements.
-    unsigned agreements = 0;
-    for (const auto& pv : points) {
-      if ((*decoded)(pv.x) == pv.y) ++agreements;
-    }
-    out.accepted =
-        agreements >= static_cast<unsigned>(n) - t;
-    return out;
-  }
+  // Steps 2-4. Under the broadcast model every player announces, one the
+  // dealer skipped with its zero row.
+  const auto round = dealing_round<F>(
+      io, kVssRound, dealer, t, 2, fg, challenge_coin, instance,
+      [](std::span<const F> row, F r) -> std::optional<F> {
+        return row.empty() ? F::zero() : row[0] + r * row[1];
+      });
+  if (!round.challenge) return {};  // seed coin failed to expose: reject
+  VssOutcome<F> out;
+  out.accepted = round.view.accepted();
+  out.share = round.view.my_row.empty() ? F::zero() : round.view.my_row[0];
+  out.challenge = *round.challenge;
+  return out;
 }
 
 }  // namespace dprbg

@@ -215,8 +215,48 @@ class BwDifferentialTest : public ::testing::Test {};
 using DiffFields = ::testing::Types<GF2_64, Z251>;
 TYPED_TEST_SUITE(BwDifferentialTest, DiffFields);
 
+// The acceptance rule as the dealing rounds wrote it out before
+// decode_quorum: Berlekamp-Welch tolerating min(t, cap) errors, then a
+// recount of the decoded polynomial's agreements against the quorum.
+template <typename G>
+std::optional<Polynomial<G>> recount_quorum(
+    const std::vector<PointValue<G>>& pts, unsigned t, std::size_t need) {
+  if (pts.size() < need) return std::nullopt;
+  const unsigned max_errors =
+      std::min(t, static_cast<unsigned>((pts.size() - t - 1) / 2));
+  auto poly = berlekamp_welch<G>(pts, t, max_errors);
+  if (!poly) return std::nullopt;
+  std::size_t agreements = 0;
+  for (const auto& pv : pts) {
+    if ((*poly)(pv.x) == pv.y) ++agreements;
+  }
+  if (agreements < need) return std::nullopt;
+  return poly;
+}
+
+// decode_quorum on one word against recount_quorum, with t = d: both
+// return the same polynomial (or none) and charge the same single
+// interpolation, or none when fewer than `need` points arrived.
+template <typename G>
+void expect_quorum_matches(const std::vector<PointValue<G>>& pts, unsigned d,
+                           std::size_t need, const std::string& what) {
+  const std::uint64_t charged = pts.size() >= need ? 1 : 0;
+  const std::uint64_t before = field_counters().interpolations;
+  const auto got = decode_quorum<G>(pts, d, need);
+  const std::uint64_t mid = field_counters().interpolations;
+  const auto want = recount_quorum<G>(pts, d, need);
+  const std::uint64_t after = field_counters().interpolations;
+  EXPECT_EQ(got, want) << what << " need=" << need;
+  EXPECT_EQ(mid - before, charged) << what << ": quorum interpolations";
+  EXPECT_EQ(after - mid, charged) << what << ": recount interpolations";
+}
+
 // Runs both decoders on one word; they must agree and each must count
-// exactly one interpolation.
+// exactly one interpolation. The word, and the word without its last
+// point (a silent player), then go through the quorum decode for the
+// quorums P - e and n - t (n the word's size, t = d). Every caller has
+// e <= d, so both quorums are at least P - t: the recount rule, whose
+// one t is degree and fault bound alike, tolerates no more errors.
 template <typename G>
 std::optional<Polynomial<G>> decode_both(
     const std::vector<PointValue<G>>& pts, unsigned d, unsigned e,
@@ -229,6 +269,13 @@ std::optional<Polynomial<G>> decode_both(
   EXPECT_EQ(fast, slow) << what;
   EXPECT_EQ(mid - before, 1u) << what << ": fast path interpolations";
   EXPECT_EQ(after - mid, 1u) << what << ": elimination interpolations";
+  for (const std::size_t silent : {0u, 1u}) {
+    const std::vector<PointValue<G>> heard(pts.begin(), pts.end() - silent);
+    const std::string where =
+        std::string(what) + " silent=" + std::to_string(silent);
+    expect_quorum_matches<G>(heard, d, heard.size() - e, where);
+    expect_quorum_matches<G>(heard, d, pts.size() - d, where);
+  }
   return fast;
 }
 

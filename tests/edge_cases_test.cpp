@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 // The umbrella header must compile standalone and bring in everything
 // used below.
 #include "dprbg_all.h"
@@ -46,21 +48,69 @@ TEST(EdgeCaseTest, CoinGenWithZeroFaultTolerance) {
 }
 
 TEST(EdgeCaseTest, VssWithDeadChallengeCoinRejects) {
-  // Nobody holds a share of the challenge coin: the exposure fails and
-  // VSS must reject uniformly without deadlocking.
+  // Nobody holds a share of the challenge coin: the exposure fails, and
+  // every caller of the dealing round (vss/dealing_round.h) must reject
+  // uniformly, without deadlocking, in its usual 2 rounds.
   const int n = 7, t = 2;
-  const SealedCoin<F> dead{std::nullopt, static_cast<unsigned>(t)};
+  const auto degree = static_cast<unsigned>(t);
+  const SealedCoin<F> dead{std::nullopt, degree};
   Chacha dealer_rng(3, 777);
   const auto poly = Polynomial<F>::random(t, dealer_rng);
-  std::vector<char> accepted(n, true);
-  Cluster cluster(n, t, 3);
-  cluster.run(std::vector<Cluster::Program>(n, [&](PartyIo& io) {
-    std::optional<Polynomial<F>> mine;
-    if (io.id() == 0) mine = poly;
-    accepted[io.id()] =
-        vss_share_and_verify<F>(io, 0, t, mine, dead).accepted;
-  }));
-  for (int i = 0; i < n; ++i) EXPECT_FALSE(accepted[i]) << i;
+  const auto polys = CoeffMatrix<F>::random(degree, 4, dealer_rng);
+  const auto old_coins = trusted_dealer_coins<F>(n, degree, 2, 3);
+  struct Caller {
+    const char* name;
+    int players;
+    std::function<bool(PartyIo&)> accepts;
+  };
+  const std::vector<Caller> callers{
+      {"vss", n,
+       [&](PartyIo& io) {
+         std::optional<Polynomial<F>> mine;
+         if (io.id() == 0) mine = poly;
+         return vss_share_and_verify<F>(io, 0, degree, mine, dead).accepted;
+       }},
+      {"batch_vss", n,
+       [&](PartyIo& io) {
+         const auto mine = io.id() == 0 ? polys : CoeffMatrix<F>{};
+         return batch_vss<F>(io, 0, degree, 4, mine, dead).accepted;
+       }},
+      {"bit_gen_single", n,
+       [&](PartyIo& io) {
+         const auto mine = io.id() == 0 ? polys : CoeffMatrix<F>{};
+         return bit_gen_single<F>(io, 0, 4, degree, mine, dead).accepted();
+       }},
+      {"bit_gen_all", n,
+       [&](PartyIo& io) {
+         const auto out = bit_gen_all<F>(io, polys, 4, degree, dead);
+         bool any = out.challenge.has_value();
+         for (const auto& view : out.views) any = any || view.accepted();
+         return any;
+       }},
+      {"cross_roster_reshare", 2 * n,
+       [&](PartyIo& io) {
+         std::vector<SealedCoin<F>> coins(2, SealedCoin<F>{std::nullopt,
+                                                           degree});
+         if (io.id() < n) coins = old_coins[io.id()];
+         const auto out =
+             cross_roster_reshare<F>(io, n, degree, coins, dead);
+         return out.success || !out.accepted_dealers.empty();
+       }},
+  };
+  for (const Caller& caller : callers) {
+    std::vector<char> accepted(caller.players, true);
+    std::vector<std::uint64_t> rounds(caller.players, 0);
+    Cluster cluster(caller.players, t, 3);
+    cluster.run(std::vector<Cluster::Program>(
+        caller.players, [&](PartyIo& io) {
+          accepted[io.id()] = caller.accepts(io);
+          rounds[io.id()] = io.rounds();
+        }));
+    for (int i = 0; i < caller.players; ++i) {
+      EXPECT_FALSE(accepted[i]) << caller.name << " player " << i;
+      EXPECT_EQ(rounds[i], 2u) << caller.name << " player " << i;
+    }
+  }
 }
 
 TEST(EdgeCaseTest, BatchVssWithM0IsVacuous) {

@@ -21,8 +21,10 @@
 // in the same change that moves the cost, with a line in EXPERIMENTS.md.
 // The add/mul columns assume Horner from the top coefficient (deg
 // multiplications per evaluation), Coin-Gen qualification against the
-// stored Bit-Gen beta, and Berlekamp-Welch decoding by interpolation
-// first (elimination only when the first d+1 points hold an error).
+// stored Bit-Gen beta, Berlekamp-Welch decoding by interpolation first
+// (elimination only when the first d+1 points hold an error), and one
+// quorum decode per dealing round (decode_quorum: the decoder's error
+// bound is the quorum, so no recount of agreements follows it).
 
 #include <gtest/gtest.h>
 
@@ -156,7 +158,7 @@ TEST_F(TraceBudgetTest, VssPerPhaseBudget) {
       {"vss", "deal", 0, 14, 14, 0, 6, 126},
       {"vss", "challenge", 1, 133, 189, 7, 42, 546},
       {"vss", "respond", 1, 7, 7, 0, 42, 588},
-      {"vss", "interpolate", 0, 140, 154, 7, 0, 0},
+      {"vss", "interpolate", 0, 91, 105, 7, 0, 0},
   });
 }
 
@@ -175,7 +177,7 @@ TEST_F(TraceBudgetTest, BatchVssPerPhaseBudget) {
       {"batch-vss", "deal", 0, 28, 28, 0, 6, 222},
       {"batch-vss", "challenge", 1, 133, 189, 7, 42, 546},
       {"batch-vss", "combine", 1, 28, 28, 0, 42, 588},
-      {"batch-vss", "interpolate", 0, 140, 154, 7, 0, 0},
+      {"batch-vss", "interpolate", 0, 91, 105, 7, 0, 0},
   });
 }
 
@@ -194,7 +196,7 @@ TEST_F(TraceBudgetTest, BitGenPerPhaseBudget) {
       {"bitgen", "deal", 0, 196, 196, 0, 42, 1554},
       {"bitgen", "challenge", 1, 133, 189, 7, 42, 546},
       {"bitgen", "combine", 1, 196, 196, 0, 42, 2898},
-      {"bitgen", "decode", 0, 980, 1078, 49, 0, 0},
+      {"bitgen", "decode", 0, 637, 735, 49, 0, 0},
   });
 }
 
@@ -209,7 +211,7 @@ TEST_F(TraceBudgetTest, CoinGenPerPhaseBudget) {
   // 3, one leader exposure (1) + one Phase-King BA (2(t+1) = 4) when the
   // first leader is honest: 10 rounds total.
   check_budgets(phases, {
-      {"coin-gen", "deal", 2, 1603, 1757, 56, 126, 5334},
+      {"coin-gen", "deal", 2, 1260, 1414, 56, 126, 5334},
       {"coin-gen", "graph", 0, 294, 294, 0, 0, 0},
       {"coin-gen", "clique", 0, 0, 0, 0, 0, 0},
       {"coin-gen", "gradecast", 3, 0, 0, 0, 126, 76986},

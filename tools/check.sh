@@ -45,11 +45,14 @@ echo "=== [check] wide-batch kernel gate (block_kernels / PCLMUL) ==="
 # is what certifies the software fallback actually runs green on this
 # host, not just that it exists. golden_test pins the ChaCha stream and
 # a GF2_64 Coin-Gen digest, so the software multiply must reproduce the
-# same coins bit for bit.
+# same coins bit for bit. berlekamp_welch_test holds the quorum decode
+# every dealing round accepts by to its differential over GF2_64, so the
+# software multiply certifies the acceptance rule too.
 ./build/tests/block_kernels_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/block_kernels_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/gf2_test
 DPRBG_FORCE_SCALAR=1 ./build/tests/golden_test
+DPRBG_FORCE_SCALAR=1 ./build/tests/berlekamp_welch_test
 
 echo "=== [check] wide-batch M-sweep smoke (bench/pipeline --sweep-M) ==="
 # E20 smoke: at every swept M, depth 1 must match the serial loop
